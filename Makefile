@@ -43,6 +43,8 @@
 #                          in quick mode, no write)
 #   make surrogate-bench   full surrogate-screening benchmark on the 112k-point
 #                          space, records BENCH_surrogate.json
+#   make paper             the paper-claim benchmarks (Fig. 8-10, Table 2, the
+#                          ablations, runtime) as pytest-benchmark tests
 #   make bench-quick       CI-sized engine scaling benchmark (no baseline write)
 #   make bench             full engine scaling benchmark, records BENCH_engine.json
 #   make ci                what every PR must pass: tier-1 + the smokes + gates
@@ -52,7 +54,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke api-smoke campaign-smoke shard-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke surrogate-bench surrogate-bench-smoke bench bench-quick ci
+.PHONY: test smoke api-smoke campaign-smoke shard-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke surrogate-bench surrogate-bench-smoke paper bench bench-quick ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -117,10 +119,18 @@ surrogate-bench-smoke:
 surrogate-bench:
 	$(PYTHON) benchmarks/bench_surrogate.py
 
+PAPER_BENCHES := $(addprefix benchmarks/,bench_fig8_layouts.py \
+	bench_fig9_design_space.py bench_fig10_sota_comparison.py \
+	bench_table2_flow_comparison.py bench_ablation_architecture.py \
+	bench_ablation_dse.py bench_ablation_postlayout.py bench_runtime.py)
+
+paper:
+	$(PYTHON) -m pytest -q $(PAPER_BENCHES)
+
 bench-quick:
 	$(PYTHON) benchmarks/bench_engine_scaling.py --quick --workers 2
 
 bench:
 	$(PYTHON) benchmarks/bench_engine_scaling.py
 
-ci: test smoke api-smoke campaign-smoke shard-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke surrogate-bench-smoke
+ci: test smoke api-smoke campaign-smoke shard-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke surrogate-bench-smoke paper

@@ -4,10 +4,10 @@
 Two experiments, mirroring the two regimes the engine serves:
 
 1. **Analytic throughput** — evaluations/sec of the closed-form estimation
-   model for batch sizes {1, 32, 256} x backends {serial, thread, process}.
-   One analytic evaluation costs ~20 us, so this regime quantifies the
-   engine's dispatch overhead: serial wins (and that is the documented
-   recommendation in docs/engine.md), and the matrix records by how much.
+   model through the engine (cache lookups, inline vectorized kernel,
+   per-spec records) for batch sizes {1, 32, 256}.  Spec evaluation runs
+   inline on every backend, so one serial row per batch size is the whole
+   picture.
 
 2. **High-fidelity 16 kb exhaustive sweep** — every feasible design point
    of the paper's 16 kb design space evaluated with the behavioral
@@ -48,7 +48,7 @@ from repro.sim.montecarlo import measure_many
 
 ARRAY_SIZE = 16 * 1024
 BATCH_SIZES = (1, 32, 256)
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _spec_pool(count: int):
@@ -63,56 +63,36 @@ def _spec_pool(count: int):
     return specs[:count]
 
 
-def analytic_throughput(workers: int, repeats: int = 3) -> tuple:
-    """Evaluations/sec of the analytic model per (batch size, backend).
+def analytic_throughput(repeats: int = 3) -> tuple:
+    """Evaluations/sec of the analytic model per batch size (serial).
 
-    Returns ``(matrix, splits, metrics)``: ``splits`` holds the
-    per-backend timing decomposition (dispatch / worker / serialize
-    seconds) of the largest-batch runs — the numbers that show *where* a
-    backend's time goes, not just how fast it went — and ``metrics`` is
-    each backend's full engine metric snapshot (the
-    ``docs/observability.md`` catalogue) at the end of its runs.
+    Returns ``(matrix, splits, metrics)``: ``splits`` holds the timing
+    decomposition (dispatch / worker / serialize seconds) after the
+    largest-batch runs — ``worker`` is the kernel, the rest of the wall
+    time is cache and record work — and ``metrics`` is the engine's full
+    metric snapshot (the ``docs/observability.md`` catalogue).
     """
     estimator = ACIMEstimator()
     matrix = {}
     splits = {}
-    metrics = {}
     largest = max(BATCH_SIZES)
-    # One long-lived engine per backend, reused across batch sizes — the
-    # deployment shape the persistent worker pool is built for (spawn
-    # once, amortize forever).  It also keeps process-pool teardown out of
-    # every other cell's timing window, which matters on 1-core CI hosts.
-    for backend in BACKENDS:
-        with EvaluationEngine(
-            backend, workers=workers, cache=EvaluationCache()
-        ) as engine:
-            # Warm up off-clock through the real path: this spawns the
-            # persistent shared-memory worker pool (``engine.map`` only
-            # primes the generic executor) and seeds the engine's cost
-            # model so the auto-chunker plans realistic chunks.
-            engine.evaluate_specs(estimator, _spec_pool(largest))
-            for batch_size in BATCH_SIZES:
-                specs = _spec_pool(batch_size)
-                best = float("inf")
-                for _ in range(repeats):
-                    engine.cache.clear()
-                    start = time.perf_counter()
-                    engine.evaluate_specs(estimator, specs)
-                    best = min(best, time.perf_counter() - start)
-                matrix[f"batch{batch_size}_{backend}"] = round(
-                    batch_size / best, 1
-                )
-                if batch_size == largest:
-                    stats = engine.stats.as_dict()
-                    splits[backend] = {
-                        key: stats[key]
-                        for key in (
-                            "dispatch_seconds",
-                            "worker_seconds",
-                            "serialize_seconds",
-                        )
-                    }
-            metrics[backend] = engine.metrics.snapshot()
+    with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
+        engine.evaluate_specs(estimator, _spec_pool(largest))  # warm-up
+        for batch_size in BATCH_SIZES:
+            specs = _spec_pool(batch_size)
+            best = float("inf")
+            for _ in range(repeats):
+                engine.cache.clear()
+                start = time.perf_counter()
+                engine.evaluate_specs(estimator, specs)
+                best = min(best, time.perf_counter() - start)
+            matrix[f"batch{batch_size}_serial"] = round(batch_size / best, 1)
+        stats = engine.stats.as_dict()
+        splits["serial"] = {
+            key: stats[key]
+            for key in ("dispatch_seconds", "worker_seconds", "serialize_seconds")
+        }
+        metrics = {"serial": engine.metrics.snapshot()}
     return matrix, splits, metrics
 
 
@@ -244,8 +224,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
     }
 
-    print(f"[1/3] analytic throughput (batch x backend, {args.workers} workers)")
-    matrix, splits, metric_snapshots = analytic_throughput(args.workers)
+    print("[1/3] analytic throughput (batch size, serial)")
+    matrix, splits, metric_snapshots = analytic_throughput()
     record["analytic_evals_per_sec"] = matrix
     record["analytic_timing_splits"] = splits
     record["metrics"] = metric_snapshots
@@ -268,12 +248,8 @@ def main(argv=None) -> int:
         print(f"    {key:>22}: {value}")
 
     speedup = record["high_fidelity"]["process_speedup"]
-    analytic_speedup = round(
-        matrix[f"batch{max(BATCH_SIZES)}_process"]
-        / matrix[f"batch{max(BATCH_SIZES)}_serial"], 2
-    )
-    # The 2x gates need parallel hardware: on a single-core host every
-    # backend is serialized by the scheduler, so they are recorded as
+    # The 2x gate needs parallel hardware: on a single-core host every
+    # backend is serialized by the scheduler, so it is recorded as
     # skipped rather than failed (determinism is still enforced above).
     gate_applies = cores >= 2 and not args.no_assert
     record["speedup_gate"] = {
@@ -281,27 +257,12 @@ def main(argv=None) -> int:
         "enforced": gate_applies,
         "passed": speedup >= 2.0 if gate_applies else None,
     }
-    # The shared-memory pool must also beat serial on the *cheap* path:
-    # vectorized analytic evaluations at batch 256, the regime the old
-    # pickling executor lost outright.
-    record["analytic_speedup_gate"] = {
-        "batch": max(BATCH_SIZES),
-        "process_vs_serial": analytic_speedup,
-        "threshold": 2.0,
-        "enforced": gate_applies,
-        "passed": analytic_speedup >= 2.0 if gate_applies else None,
-    }
     if gate_applies and speedup < 2.0:
         print(f"FAIL: high-fidelity process speedup {speedup:.2f}x < 2x gate")
         return 1
-    if gate_applies and analytic_speedup < 2.0:
-        print(f"FAIL: analytic batch{max(BATCH_SIZES)} process speedup "
-              f"{analytic_speedup:.2f}x < 2x gate")
-        return 1
-    gate_note = "gates: 2x" if gate_applies else (
-        f"gates skipped: {cores} CPU core(s), no parallel hardware")
-    print(f"OK: process speedup {speedup:.2f}x high-fidelity, "
-          f"{analytic_speedup:.2f}x analytic batch{max(BATCH_SIZES)} "
+    gate_note = "gate: 2x" if gate_applies else (
+        f"gate skipped: {cores} CPU core(s), no parallel hardware")
+    print(f"OK: process speedup {speedup:.2f}x high-fidelity "
           f"({gate_note}), Pareto sets bit-identical across "
           f"{', '.join(BACKENDS)} + sharded")
 

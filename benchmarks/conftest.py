@@ -1,7 +1,7 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md's experiment index) and prints the
+evaluation section (named in its module docstring) and prints the
 reproduced rows/series, so running
 
     pytest benchmarks/ --benchmark-only -s

@@ -80,8 +80,7 @@ class SessionConfig:
     """Serializable execution settings shared by every request a session runs.
 
     Attributes:
-        backend: evaluation-engine backend (``serial``/``thread``/
-            ``process``).
+        backend: evaluation-engine backend (``serial``/``process``).
         workers: engine pool size (None: the machine's CPU count).
         store: path of the persistent SQLite result store (None: no
             persistence; campaigns and queries then require a store to be

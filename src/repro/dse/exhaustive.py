@@ -7,7 +7,7 @@ baseline serves two purposes:
 * validation — the NSGA-II explorer must recover (a large fraction of) the
   true frontier, which the test suite checks;
 * ablation — the benchmark harness compares the runtime of both approaches
-  (experiment A1 in DESIGN.md).
+  (experiment A1, ``benchmarks/bench_ablation_dse.py``).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def evaluate_all(
 
     The grid is built directly as a :class:`~repro.arch.batch.SpecBatch`
     (meshgrid-style, no intermediate spec lists) and submitted to the
-    evaluation engine as one array batch, so a ``thread``/``process``
-    engine parallelises it and repeat calls (e.g. the sensitivity
-    analyzer's perturbed sweeps) are served from the shared cache.
+    evaluation engine as one array batch, evaluated inline by the
+    vectorized kernel, and repeat calls (e.g. the sensitivity analyzer's
+    perturbed sweeps) are served from the shared cache.
 
     Args:
         batch: a pre-built grid to evaluate instead of enumerating one —

@@ -68,8 +68,8 @@ class NSGA2Config:
             (otherwise it is a copy of one parent before mutation).
         mutation_probability: probability the child genome is mutated.
         seed: random seed for reproducibility.
-        backend: evaluation-engine backend (``serial``/``thread``/``process``)
-            used for population batches.  Evaluation never consumes the RNG,
+        backend: evaluation-engine backend (``serial``/``process``) of the
+            engine the explorer builds.  Evaluation never consumes the RNG,
             so every backend produces the identical evolution for a seed.
         workers: engine pool size (None: the machine's CPU count).
     """

@@ -5,20 +5,16 @@ the repository routes through — the NSGA-II explorer's population batches,
 the exhaustive baseline's full grids, the sensitivity analyzer's perturbed
 sweeps and the flow controller's netlist/layout fan-out.  It combines
 
-* an executor backend (``serial`` / ``thread`` / ``process``, see
-  :mod:`repro.engine.executors`); the process backend evaluates specs on
-  a persistent shared-memory worker pool (:mod:`repro.engine.shm` /
-  :mod:`repro.engine.workers`) — spec columns and metric results travel
-  through named shared-memory segments, never the task pipe — while the
-  generic :meth:`EvaluationEngine.map` fan-out keeps a conventional
-  ``ProcessPoolExecutor`` for arbitrary picklable callables,
+* inline, vectorized spec evaluation: cache misses are gathered into one
+  miss :class:`~repro.arch.batch.SpecBatch` and computed in the calling
+  process on every backend (analytic evaluations cost well under a
+  microsecond each, far less than any pool round trip),
+* an executor backend (``serial`` / ``process``, see
+  :mod:`repro.engine.executors`) for the generic :meth:`EvaluationEngine.map`
+  fan-out of expensive picklable work (Monte Carlo, physical layouts),
 * the shared bounded memoization cache keyed by ``(spec, model-params,
-  tech)`` (see :mod:`repro.engine.cache`),
-* a cost-model-driven auto-chunker: a per-eval cost EMA (fed by every
-  backend) sizes chunks to ~:data:`TARGET_CHUNK_SECONDS` of work each
-  and refuses to dispatch chunks below the measured break-even size, and
-* hit/miss/timing statistics — including ``dispatch`` / ``worker`` /
-  ``serialize`` splits — exposed to results and reports.
+  tech)`` (see :mod:`repro.engine.cache`), and
+* hit/miss/timing statistics exposed to results and reports.
 
 Determinism contract: for a fixed input order the engine returns results in
 exactly that order regardless of backend, so an NSGA-II run with a fixed
@@ -29,11 +25,11 @@ execution (the regression suite asserts this bit-identically).
 from __future__ import annotations
 
 import functools
-import math
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from repro.arch.batch import SpecBatch
 from repro.engine.cache import (
@@ -43,16 +39,12 @@ from repro.engine.cache import (
     spec_tuple_cache_key,
 )
 from repro.engine.executors import (
-    BACKENDS,
     create_executor,
     resolve_workers,
     validate_backend,
 )
-from repro.engine.shm import SharedArena
-from repro.engine.workers import PersistentWorkerPool
 from repro.errors import WorkerCrashError
-from repro.model.estimator import MetricsArrays
-from repro.obs import MetricsRegistry, SIZE_BUCKETS, Span, get_tracer
+from repro.obs import MetricsRegistry, SIZE_BUCKETS, get_tracer
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -98,20 +90,14 @@ class EngineStats:
             persistent result store (work amortized from past campaigns).
         store_writes: evaluations flushed to the persistent store.
         busy_seconds: wall-clock time spent inside engine calls.
-        dispatch_seconds: parent-side wall-clock of parallel submissions
-            *not* explained by ideally-parallel worker compute — i.e.
-            ``wall - worker_seconds / workers``, accumulated per
-            submission.  This is the scheduling/queueing overhead a
-            parallel backend pays; when it rivals ``worker_seconds`` the
-            batch is too cheap for the backend (pick serial).
-        worker_seconds: aggregate compute time inside backend workers
-            (in-thread for ``thread``, in-process for ``process``, the
-            evaluation call itself for ``serial``).  May exceed wall-clock
-            time — workers run concurrently.
-        serialize_seconds: time spent publishing batches into shared
-            memory and collecting result columns back out (``process``
-            backend only; the pickling-overhead axis the shared arena
-            exists to flatten).
+        dispatch_seconds: parallel-submission scheduling overhead.  Spec
+            evaluation always runs inline, so this stays 0; the field is
+            kept for the stored and served statistics format.
+        worker_seconds: time spent inside the estimator's batch kernel
+            computing cache misses.
+        serialize_seconds: batch serialization overhead.  Always 0 for
+            the same reason; kept for the stored and served statistics
+            format.
         surrogate_exact: feasible candidates a surrogate screener
             forwarded to the exact engine (0 when screening is off).
         surrogate_screened: feasible candidates a surrogate screener
@@ -194,33 +180,14 @@ class EngineStats:
         }
 
 
-# -- auto-chunking cost model -------------------------------------------------
-
-#: Target in-worker compute per chunk.  Large enough that queue round
-#: trips disappear in the noise, small enough that stragglers rebalance
-#: and progress stays visible (the ISSUE's 50-100 ms band).
-TARGET_CHUNK_SECONDS = 0.075
-
-#: Estimated fixed cost of shipping one chunk descriptor through the task
-#: queue and getting its completion back.  Break-even chunk size =
-#: ``overhead / per-eval cost``: below it a chunk costs more to dispatch
-#: than to compute inline.
-DISPATCH_OVERHEAD_SECONDS = 5e-4
-
-#: Break-even chunk size assumed before the cost model has a measurement
-#: (matches the vectorized analytic path within an order of magnitude).
-DEFAULT_BREAK_EVEN_SIZE = 16
-
-
 class EvaluationEngine:
     """Batched, parallel, cached evaluation of design points and tasks.
 
     Args:
-        backend: ``serial`` (default), ``thread`` or ``process``.
+        backend: ``serial`` (default) or ``process``; the backend only
+            decides how :meth:`map` runs, spec evaluation is always inline.
         workers: pool size; defaults to the machine's CPU count.
         cache: evaluation cache; defaults to the process-wide shared cache.
-        chunk_size: items per pool task; defaults to an even split into
-            ``4 * workers`` chunks so stragglers rebalance.
         store: optional :class:`~repro.store.result_store.ResultStore`.
             On startup the LRU cache is hydrated from the store (every past
             campaign's evaluations become warm cache hits), and computed
@@ -232,9 +199,9 @@ class EvaluationEngine:
             the registry under ``engine.*`` names and :attr:`stats`
             materializes the classic :class:`EngineStats` view from it.
 
-    The executor is created lazily on first use and reused across batches;
-    call :meth:`close` (or use the engine as a context manager) to release
-    pool workers deterministically.
+    The ``map`` executor is created lazily on first use and reused across
+    batches; call :meth:`close` (or use the engine as a context manager) to
+    release pool workers deterministically.
     """
 
     def __init__(
@@ -242,7 +209,6 @@ class EvaluationEngine:
         backend: str = "serial",
         workers: Optional[int] = None,
         cache: Optional[EvaluationCache] = None,
-        chunk_size: Optional[int] = None,
         store=None,
         store_flush_size: int = 64,
         metrics: Optional[MetricsRegistry] = None,
@@ -250,11 +216,7 @@ class EvaluationEngine:
         self.backend = validate_backend(backend)
         self.workers = 1 if self.backend == "serial" else resolve_workers(workers)
         self.cache = cache if cache is not None else shared_cache()
-        self.chunk_size = chunk_size
         self._executor = None
-        self._pool: Optional[PersistentWorkerPool] = None
-        self._arena: Optional[SharedArena] = None
-        self._cost_per_eval: Optional[float] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Instrument handles are resolved once: hot paths record into
         # them directly instead of paying a name lookup per batch.
@@ -266,9 +228,7 @@ class EvaluationEngine:
         self._m_store_hits = registry.counter("engine.store.hit")
         self._m_store_writes = registry.counter("engine.store.write")
         self._m_busy = registry.counter("engine.busy.seconds")
-        self._m_dispatch = registry.counter("engine.dispatch.seconds")
         self._m_worker = registry.counter("engine.worker.seconds")
-        self._m_serialize = registry.counter("engine.serialize.seconds")
         self._m_surrogate_exact = registry.counter("engine.surrogate.exact")
         self._m_surrogate_screened = registry.counter(
             "engine.surrogate.screened"
@@ -299,49 +259,24 @@ class EvaluationEngine:
             self._executor = create_executor(self.backend, self.workers)
         return self._executor
 
-    def _ensure_pool(self) -> PersistentWorkerPool:
-        """The persistent shm worker pool, (re)built lazily.
-
-        A pool that lost a worker (crash) is discarded and replaced, so a
-        crash fails one submission, not the engine.
-        """
-        if self._pool is not None and not self._pool.healthy():
-            self._teardown_pool()
-        if self._pool is None:
-            self._pool = PersistentWorkerPool(self.workers)
-        return self._pool
-
-    def _ensure_arena(self) -> SharedArena:
-        if self._arena is None:
-            self._arena = SharedArena()
-        return self._arena
-
-    def _teardown_pool(self) -> None:
-        """Drop the pool *and* arena (straggler writes must never land in a
-        segment a later submission reuses)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+    def _discard_executor(self) -> None:
+        """Shut the ``map`` executor down; the next ``map`` rebuilds it."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     def close(self) -> None:
         """Flush the store buffer and release every worker (idempotent).
 
         The pending write-behind batch is flushed *before* teardown — and
         still flushed if teardown is what raises — so no computed
-        evaluation is lost on shutdown.  Shuts down the generic executor,
-        the persistent shm worker pool and the shared-memory arena; the
-        engine transparently rebuilds them if it is used again.
+        evaluation is lost on shutdown.  The engine transparently rebuilds
+        the ``map`` executor if it is used again.
         """
         try:
             self.flush_store()
         finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-            self._teardown_pool()
+            self._discard_executor()
 
     def flush_store(self) -> None:
         """Write buffered evaluations behind to the persistent store.
@@ -404,91 +339,24 @@ class EvaluationEngine:
             store_hits=int(self._m_store_hits.value),
             store_writes=int(self._m_store_writes.value),
             busy_seconds=float(self._m_busy.value),
-            dispatch_seconds=float(self._m_dispatch.value),
             worker_seconds=float(self._m_worker.value),
-            serialize_seconds=float(self._m_serialize.value),
             surrogate_exact=int(self._m_surrogate_exact.value),
             surrogate_screened=int(self._m_surrogate_screened.value),
         )
 
-    # -- cost model & auto-chunking -------------------------------------------
-
-    def _observe_cost(self, seconds: float, count: int) -> None:
-        """Fold a measured evaluation into the per-eval cost EMA.
-
-        Every backend feeds the model — a serial warm-up evaluation is
-        enough for the first process submission to chunk sensibly.
-        """
-        if count <= 0 or seconds <= 0.0:
-            return
-        sample = seconds / count
-        if self._cost_per_eval is None:
-            self._cost_per_eval = sample
-        else:
-            self._cost_per_eval = 0.5 * self._cost_per_eval + 0.5 * sample
-
-    def _break_even_size(self) -> int:
-        """Smallest chunk worth dispatching instead of evaluating inline.
-
-        ``dispatch overhead / measured per-eval cost``: cheaper analytic
-        evaluations push it up (ship big chunks or none at all), expensive
-        high-fidelity evaluations push it down to 1 (every item is worth
-        shipping).  Falls back to a static floor until measured.
-        """
-        cost = self._cost_per_eval
-        if cost is None or cost <= 0.0:
-            return DEFAULT_BREAK_EVEN_SIZE
-        return max(1, math.ceil(DISPATCH_OVERHEAD_SECONDS / cost))
-
-    def _chunk(self, count: int, floor: Optional[int] = None) -> int:
-        """Chunk size for a pool submission of ``count`` items.
-
-        Clamped below by ``floor`` so a small batch split across many
-        workers never degenerates into 1-item chunks whose dispatch costs
-        more than their compute.  ``map`` has no per-item cost model, so
-        its floor keeps every worker busy (``count / workers``) but caps
-        the fragment size.
-        """
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        even = count // (self.workers * 4) or 1
-        if floor is None:
-            floor = min(4, max(1, count // self.workers))
-        return max(1, floor, even)
-
-    def _plan_chunk(self, count: int) -> int:
-        """Cost-model-driven chunk size for a spec-evaluation submission.
-
-        Targets :data:`TARGET_CHUNK_SECONDS` of in-worker compute per
-        chunk, capped at an even per-worker split (all workers busy) and
-        floored at break-even (no chunk cheaper than its dispatch).
-        Before the first measurement it falls back to the legacy even
-        ``4 * workers`` split, break-even-clamped.
-        """
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        floor = self._break_even_size()
-        cost = self._cost_per_eval
-        if cost is not None and cost > 0.0:
-            target = max(1, int(TARGET_CHUNK_SECONDS / cost))
-            per_worker = math.ceil(count / self.workers)
-            return max(floor, min(target, per_worker))
-        return max(floor, count // (self.workers * 4) or 1)
-
-    def _ranges(self, count: int, chunk: int) -> List[Tuple[int, int]]:
-        """Contiguous ``[lo, hi)`` chunk ranges; a sub-break-even tail is
-        merged into its predecessor rather than dispatched on its own."""
-        ranges = [
-            (lo, min(lo + chunk, count)) for lo in range(0, count, chunk)
-        ]
-        if len(ranges) > 1:
-            lo, hi = ranges[-1]
-            if hi - lo < self._break_even_size():
-                ranges[-2] = (ranges[-2][0], hi)
-                ranges.pop()
-        return ranges
-
     # -- generic parallel map -------------------------------------------------
+
+    def _chunk(self, count: int) -> int:
+        """Chunk size for a ``map`` submission of ``count`` items.
+
+        An even split into ``4 * workers`` chunks so stragglers rebalance,
+        floored so a small batch split across many workers never
+        degenerates into 1-item chunks (the floor keeps every worker busy,
+        ``count / workers``, but caps the fragment size at 4).
+        """
+        even = count // (self.workers * 4) or 1
+        floor = min(4, max(1, count // self.workers))
+        return max(floor, even)
 
     def map(
         self,
@@ -499,7 +367,11 @@ class EvaluationEngine:
         """Apply ``fn`` to every item, preserving input order.
 
         With the ``process`` backend ``fn`` and the items must be picklable;
-        the flow controller uses this for its netlist/layout fan-out.
+        Monte Carlo ``measure_many`` and the flow controller's layout
+        fan-out use this.  A worker that dies mid-call (segfault, OOM
+        kill, ``kill -9``) fails the call with
+        :class:`~repro.errors.WorkerCrashError`; the broken pool is
+        discarded and the next call spawns a fresh one.
         """
         items = list(items)
         start = time.perf_counter()
@@ -512,18 +384,29 @@ class EvaluationEngine:
                     return [fn(item) for item in items]
                 executor = self._ensure_executor()
                 chunksize = chunk_size or self._chunk(len(items))
-                if tracer.enabled and self.backend == "process":
-                    # Ship worker-side spans home (the thread backend
-                    # shares this tracer already and needs no shim).
+                results: List[Result] = []
+                try:
+                    if not tracer.enabled:
+                        results.extend(
+                            executor.map(fn, items, chunksize=chunksize)
+                        )
+                        return results
+                    # Ship worker-side spans home under this map span.
                     call = functools.partial(_traced_map_call, fn)
-                    results: List[Result] = []
                     for result, records in executor.map(
                         call, items, chunksize=chunksize
                     ):
                         tracer.adopt(records, parent_id=map_span.span_id)
                         results.append(result)
                     return results
-                return list(executor.map(fn, items, chunksize=chunksize))
+                except BrokenProcessPool as error:
+                    self._discard_executor()
+                    raise WorkerCrashError(
+                        f"a {self.backend} worker died during engine.map "
+                        f"of {len(items)} items; the pool was discarded "
+                        "and the next call starts a fresh one",
+                        failed_ranges=[(len(results), len(items))],
+                    ) from error
         finally:
             self._m_batches.inc()
             self._m_tasks.add(len(items))
@@ -540,9 +423,8 @@ class EvaluationEngine:
         directly, skipping the per-spec object hop).  Returns one
         :class:`~repro.model.estimator.ACIMMetrics` per spec, in input
         order.  Hits are served from the cache; misses are deduplicated,
-        gathered into a miss SpecBatch and dispatched to the backend as
-        array chunks, then inserted into the cache by the calling process
-        (workers never mutate the cache).
+        gathered into one miss SpecBatch, computed inline by the vectorized
+        kernel on every backend and inserted into the cache.
         """
         if isinstance(specs, SpecBatch):
             batch = specs
@@ -560,8 +442,7 @@ class EvaluationEngine:
                 count=len(tuples),
                 backend=self.backend,
             ) as eval_span:
-                params = estimator.parameters
-                params_key = parameters_cache_key(params)
+                params_key = parameters_cache_key(estimator.parameters)
                 keys = [
                     spec_tuple_cache_key(spec_tuple, params_key)
                     for spec_tuple in tuples
@@ -616,7 +497,7 @@ class EvaluationEngine:
                         missing = SpecBatch.from_specs(
                             [spec_list[i] for i in missing_indices]
                         )
-                    computed = self._compute(estimator, params, missing)
+                    computed = self._compute(missing, estimator)
                     for index, metrics in zip(missing_indices, computed):
                         key = keys[index]
                         results[key] = metrics
@@ -641,137 +522,15 @@ class EvaluationEngine:
             self._m_busy.add(time.perf_counter() - start)
             self._m_batch_size.observe(len(tuples))
 
-    def _compute(self, estimator, params, batch: SpecBatch) -> List:
-        """Evaluate a cache-miss SpecBatch on the configured backend, in order.
-
-        Chunk boundaries never change results — the model kernels are
-        elementwise — so serial, thread and process submissions of the
-        same batch are bit-identical (the backend-parity suite asserts
-        this through NSGA-II fronts).
-        """
-        if self.backend == "serial" or len(batch) == 1:
-            return self._compute_serial(estimator, batch)
-        if self.backend == "thread":
-            return self._compute_thread(estimator, batch)
-        return self._compute_process(estimator, params, batch)
-
-    def _compute_serial(self, estimator, batch: SpecBatch) -> List:
+    def _compute(self, batch: SpecBatch, estimator) -> List:
+        """Evaluate a cache-miss SpecBatch inline, in order."""
         with get_tracer().span(
             "engine.chunk", where="inline", count=len(batch)
         ):
             started = time.perf_counter()
             results = estimator.evaluate_batch(batch)
-            elapsed = time.perf_counter() - started
-        self._m_worker.add(elapsed)
-        self._observe_cost(elapsed, len(batch))
+            self._m_worker.add(time.perf_counter() - started)
         return results
-
-    def _compute_thread(self, estimator, batch: SpecBatch) -> List:
-        count = len(batch)
-        chunk = self._plan_chunk(count)
-        if chunk >= count:
-            return self._compute_serial(estimator, batch)
-        executor = self._ensure_executor()
-        started = time.perf_counter()
-        with get_tracer().span(
-            "engine.dispatch", backend="thread", count=count
-        ) as dispatch_span:
-            futures = [
-                executor.submit(
-                    _timed_evaluate,
-                    estimator,
-                    batch[lo:hi],
-                    dispatch_span.span_id,
-                )
-                for lo, hi in self._ranges(count, chunk)
-            ]
-            results: List = []
-            worker_total = 0.0
-            for future in futures:
-                chunk_results, chunk_seconds = future.result()
-                results.extend(chunk_results)
-                worker_total += chunk_seconds
-            dispatch_span.set("chunks", len(futures))
-        wall = time.perf_counter() - started
-        self._m_worker.add(worker_total)
-        self._m_dispatch.add(max(0.0, wall - worker_total / self.workers))
-        self._observe_cost(worker_total, count)
-        return results
-
-    def _compute_process(self, estimator, params, batch: SpecBatch) -> List:
-        count = len(batch)
-        if count <= self._break_even_size():
-            # The whole batch is below break-even: a pool round trip would
-            # cost more than computing it here.
-            return self._compute_serial(estimator, batch)
-        pool = self._ensure_pool()
-        arena = self._ensure_arena()
-        kernel = getattr(estimator, "kernel", "vectorized")
-        tracer = get_tracer()
-        publish_start = time.perf_counter()
-        ref = arena.publish(batch)
-        self._m_serialize.add(time.perf_counter() - publish_start)
-        ranges = self._ranges(count, self._plan_chunk(count))
-        span_sink: List[Dict] = []
-        dispatch_start = time.perf_counter()
-        with tracer.span(
-            "engine.dispatch",
-            backend="process",
-            count=count,
-            chunks=len(ranges),
-        ) as dispatch_span:
-            try:
-                timings = pool.run(
-                    ranges,
-                    ref,
-                    params,
-                    kernel,
-                    trace=tracer.enabled,
-                    span_sink=span_sink,
-                )
-            except WorkerCrashError:
-                # Live stragglers may still write into the arena; retire
-                # both so the next submission starts on clean segments.
-                self._teardown_pool()
-                raise
-        if span_sink:
-            # Worker chunk spans nest under this dispatch span, giving
-            # one trace across the process boundary.
-            tracer.adopt(span_sink, parent_id=dispatch_span.span_id)
-        wall = time.perf_counter() - dispatch_start
-        worker_total = sum(timings.values())
-        self._m_worker.add(worker_total)
-        self._m_dispatch.add(max(0.0, wall - worker_total / self.workers))
-        self._observe_cost(worker_total, count)
-        collect_start = time.perf_counter()
-        columns = arena.collect(count)
-        self._m_serialize.add(time.perf_counter() - collect_start)
-        return MetricsArrays(batch=batch, **columns).to_metrics()
-
-
-def _timed_evaluate(
-    estimator, chunk: SpecBatch, parent_id: Optional[str] = None
-) -> tuple:
-    """(results, seconds) of one thread-backend chunk evaluation.
-
-    Runs on a pool thread, whose span stack is empty — the chunk span is
-    recorded explicitly under the dispatcher's ``parent_id`` instead of
-    through the context-manager stack.
-    """
-    tracer = get_tracer()
-    start_ns = time.perf_counter_ns() if tracer.enabled else 0
-    started = time.perf_counter()
-    results = estimator.evaluate_batch(chunk)
-    elapsed = time.perf_counter() - started
-    if tracer.enabled:
-        tracer.record(Span(
-            "engine.chunk",
-            parent_id=parent_id,
-            attrs={"where": "thread", "count": len(chunk)},
-            start_ns=start_ns,
-            end_ns=time.perf_counter_ns(),
-        ))
-    return results, elapsed
 
 
 def default_engine() -> EvaluationEngine:

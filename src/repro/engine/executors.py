@@ -1,31 +1,28 @@
 """Executor backends of the evaluation engine.
 
-Three backends cover the latency/throughput trade-offs of the repository's
-workloads:
+Two backends decide how :meth:`~repro.engine.engine.EvaluationEngine.map`
+runs its work items (spec evaluation is always computed inline):
 
 * ``serial``  — no executor at all; zero overhead, the right choice for
-  cheap analytic evaluations and for debugging.
-* ``thread``  — :class:`concurrent.futures.ThreadPoolExecutor`; useful when
-  the work releases the GIL (numpy-heavy Monte-Carlo, file export) or is
-  I/O bound.
+  cheap work and for debugging.
 * ``process`` — :class:`concurrent.futures.ProcessPoolExecutor`; true
-  parallelism for CPU-bound work (layout generation, high-fidelity
-  evaluation).  Work functions and their arguments must be picklable.
+  parallelism for CPU-bound work (Monte Carlo simulation, layout
+  generation).  Work functions and their arguments must be picklable.
 
-The pool is created lazily and reused across batches so NSGA-II's
-per-generation submissions amortize the spawn cost over the whole run.
+The pool is created lazily and reused across calls, so repeated fan-outs
+amortize the spawn cost over the whole run.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
 from repro.errors import EngineError
 
 #: The recognised backend names, in increasing isolation order.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 
 def validate_backend(backend: str) -> str:
@@ -47,12 +44,8 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def create_executor(backend: str, workers: int) -> Optional[Executor]:
+def create_executor(backend: str, workers: int) -> Optional[ProcessPoolExecutor]:
     """Create the executor for ``backend`` (``None`` for ``serial``).
-
-    Per-worker estimator setup for the ``process`` backend happens through
-    the :data:`~repro.engine.engine._WORKER_ESTIMATORS` memo rather than a
-    pool initializer, so one pool can serve many parameter bundles.
 
     Args:
         backend: validated backend name.
@@ -60,6 +53,4 @@ def create_executor(backend: str, workers: int) -> Optional[Executor]:
     """
     if backend == "serial":
         return None
-    if backend == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
     return ProcessPoolExecutor(max_workers=workers)

@@ -154,17 +154,17 @@ class EngineError(ReproError):
 
 
 class WorkerCrashError(EngineError):
-    """A persistent pool worker died mid-submission.
+    """A process-pool worker died during an engine ``map`` call.
 
     Raised instead of hanging when a worker process exits abnormally
-    (segfault, OOM kill, ``kill -9``) while shard ranges are still
-    outstanding.  The engine tears the broken pool down and rebuilds it on
-    the next submission, so the crash is not sticky.
+    (segfault, OOM kill, ``kill -9``) while the map's items are still
+    outstanding.  The engine shuts the broken pool down before raising and
+    spawns a fresh one on the next ``map``, so the crash is not sticky.
 
     Args:
         message: human-readable summary.
-        failed_ranges: the ``(lo, hi)`` row ranges of the published batch
-            whose results never arrived.
+        failed_ranges: the ``(lo, hi)`` item-index ranges of the map whose
+            results never arrived.
     """
 
     code = "worker-crash"
@@ -176,7 +176,7 @@ class WorkerCrashError(EngineError):
         self.failed_ranges = [tuple(r) for r in failed_ranges]
 
     def as_dict(self) -> Dict:
-        """Structured record including the unfinished shard ranges."""
+        """Structured record including the unfinished item ranges."""
         record = super().as_dict()
         record["failed_ranges"] = [list(r) for r in self.failed_ranges]
         return record

@@ -6,8 +6,9 @@ optimises and exposes the multi-objective vector
 ``F(H, W, L, B_ADC) = [-f_SNR, -f_T, f_E, f_A]``    (Equation 12)
 
 used by the NSGA-II explorer (minimisation context: SNR and throughput are
-negated).  The default constants are the calibrated values documented in
-DESIGN.md; :class:`ModelParameters` lets applications override any subset.
+negated).  The default constants are the calibrated values derived in
+:mod:`repro.model.calibration`; :class:`ModelParameters` lets applications
+override any subset.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class ModelParameters:
 
         The simplified-SNR coefficients are fitted against the full model on
         construction so Equation 11 tracks Equations 2-6 for the default
-        workload; everything else uses the DESIGN.md calibration constants.
+        workload; everything else keeps the default constants derived in
+        :mod:`repro.model.calibration`.
         """
         from repro.model.calibration import fit_snr_constants
 

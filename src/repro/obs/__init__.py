@@ -21,7 +21,6 @@ from .trace import (
     Tracer,
     configure_tracing,
     get_tracer,
-    worker_span_record,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "export_jsonl",
     "get_tracer",
     "span_to_trace_event",
-    "worker_span_record",
 ]

@@ -53,6 +53,11 @@ _NSGA2_FIELDS = (
     "workers",
 )
 
+#: Stored backend names that no longer exist, mapped to their equivalent.
+#: Evaluation is pure and backend-independent, so a campaign recorded on
+#: the retired ``thread`` backend resumes bit-identically on ``serial``.
+_RETIRED_BACKENDS = {"thread": "serial"}
+
 #: Problem-shape fields persisted alongside the optimiser configuration.
 _PROBLEM_FIELDS = (
     "local_array_sizes",
@@ -281,9 +286,11 @@ class _CampaignManagerCore:
         resumed: bool,
         shard_stats: Optional[Dict] = None,
     ) -> CampaignResult:
-        config = NSGA2Config(
-            **{key: campaign_config[key] for key in _NSGA2_FIELDS}
+        fields = {key: campaign_config[key] for key in _NSGA2_FIELDS}
+        fields["backend"] = _RETIRED_BACKENDS.get(
+            fields["backend"], fields["backend"]
         )
+        config = NSGA2Config(**fields)
         start = time.perf_counter()
         owns_engine = self.engine is None
         engine = self.engine or EvaluationEngine(

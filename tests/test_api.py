@@ -228,7 +228,7 @@ class TestApiResult:
 
 class TestSessionConfig:
     def test_round_trip(self):
-        config = SessionConfig(backend="thread", workers=2,
+        config = SessionConfig(backend="process", workers=2,
                                store="s.sqlite", cache_size=128)
         assert SessionConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))) == config
@@ -534,8 +534,8 @@ class TestCliThroughApi:
         parser = build_parser()
         args = parser.parse_args(["estimate", "--height", "16", "--width",
                                   "4", "--local", "4", "--adc-bits", "2",
-                                  "--backend", "thread", "--workers", "2"])
-        assert args.backend == "thread" and args.workers == 2
+                                  "--backend", "process", "--workers", "2"])
+        assert args.backend == "process" and args.workers == 2
         for argv in (
             ["explore", "--json"],
             ["flow", "--json"],

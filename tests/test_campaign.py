@@ -2,6 +2,7 @@
 warm starts from the persistent store, flow recording and the CLI."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -104,6 +105,35 @@ class TestCampaignResume:
         assert [
             (e.spec.as_tuple(), e.metrics.objectives()) for e in stored
         ] == reference_pareto
+
+    def test_campaign_stored_on_thread_backend_resumes(
+        self, tmp_path, reference_pareto
+    ):
+        # Stores written before the thread backend was retired record
+        # backend "thread"; resuming one runs serial and lands on the
+        # uninterrupted serial front.
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path) as store:
+            _CampaignManagerCore(store).run(
+                "legacy", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
+            )
+        with sqlite3.connect(path) as conn:
+            (config_json,) = conn.execute(
+                "SELECT config_json FROM campaigns WHERE name = 'legacy'"
+            ).fetchone()
+            config = json.loads(config_json)
+            config["backend"] = "thread"
+            conn.execute(
+                "UPDATE campaigns SET config_json = ? WHERE name = 'legacy'",
+                (json.dumps(config, sort_keys=True),),
+            )
+        conn.close()
+        with ResultStore(path) as store:
+            assert store.get_campaign("legacy").config["backend"] == "thread"
+            result = _CampaignManagerCore(store).resume("legacy")
+        assert result.status == "completed"
+        assert result.engine_stats["backend"] == "serial"
+        assert _pareto_signature(result.pareto_set) == reference_pareto
 
     def test_kill_mid_generation_resumes_identically(
         self, store, reference_pareto, monkeypatch

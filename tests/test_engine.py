@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec, enumerate_design_space
 from repro.dse.exhaustive import evaluate_all
 from repro.dse.explorer import _ExplorerCore
@@ -14,7 +15,7 @@ from repro.engine import (
     spec_cache_key,
     validate_backend,
 )
-from repro.errors import EngineError, OptimizationError
+from repro.errors import EngineError, OptimizationError, SpecificationError
 from repro.model.estimator import ACIMEstimator, ModelParameters
 
 
@@ -56,13 +57,18 @@ class TestEvaluationEngine:
             EvaluationEngine("gpu")
         with pytest.raises(EngineError):
             validate_backend("cluster")
+        # The retired thread backend is an unknown name for user configs.
+        with pytest.raises(EngineError):
+            EvaluationEngine("thread")
+        with pytest.raises(EngineError):
+            NSGA2Config(backend="thread")
+        assert BACKENDS == ("serial", "process")
 
     def test_map_preserves_order(self):
-        for backend in ("serial", "thread"):
-            with EvaluationEngine(backend, workers=2) as engine:
-                assert engine.map(_square, list(range(20))) == [
-                    i * i for i in range(20)
-                ]
+        with EvaluationEngine("serial") as engine:
+            assert engine.map(_square, list(range(20))) == [
+                i * i for i in range(20)
+            ]
 
     def test_map_preserves_order_process(self):
         with EvaluationEngine("process", workers=2) as engine:
@@ -133,15 +139,14 @@ class TestEstimatorBatch:
 class TestExhaustiveThroughEngine:
     def test_evaluate_all_identical_across_backends(self):
         serial = evaluate_all(4096)
-        for backend in ("thread", "process"):
-            with EvaluationEngine(
-                backend, workers=2, cache=EvaluationCache()
-            ) as engine:
-                parallel = evaluate_all(4096, engine=engine)
-            assert [d.spec for d in parallel] == [d.spec for d in serial]
-            assert [d.objectives for d in parallel] == [
-                d.objectives for d in serial
-            ]
+        with EvaluationEngine(
+            "process", workers=2, cache=EvaluationCache()
+        ) as engine:
+            parallel = evaluate_all(4096, engine=engine)
+        assert [d.spec for d in parallel] == [d.spec for d in serial]
+        assert [d.objectives for d in parallel] == [
+            d.objectives for d in serial
+        ]
 
 
 class TestSeedDeterminismAcrossBackends:
@@ -214,6 +219,92 @@ class TestSeedDeterminismAcrossBackends:
             NSGA2Config(backend="gpu")
         with pytest.raises(OptimizationError):
             NSGA2Config(workers=0)
+
+
+class TestProcessBackend:
+    """``process`` parallelises ``map`` only; spec evaluation stays inline."""
+
+    def test_empty_spec_list(self):
+        with _fresh_process_engine() as engine:
+            assert engine.evaluate_specs(ACIMEstimator(), []) == []
+            # No map work => no pool was ever spawned.
+            assert engine._executor is None
+
+    def test_spec_evaluation_never_spawns_a_pool(self):
+        with _fresh_process_engine() as engine:
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(4096))
+            assert engine._executor is None
+
+    def test_single_spec_batch(self):
+        estimator = ACIMEstimator()
+        spec = ACIMDesignSpec(64, 16, 2, 4)
+        with _fresh_process_engine() as engine:
+            (got,) = engine.evaluate_specs(estimator, [spec])
+        _assert_metrics_close(got, estimator.evaluate(spec))
+
+    def test_infeasible_spec_raises_without_hanging(self):
+        # L > H in one row: batch validation raises in the caller, and the
+        # engine serves the next submission.
+        feasible = SpecBatch.enumerate(1024)
+        bad = SpecBatch.from_spec(ACIMDesignSpec(4, 256, 8, 1))
+        batch = SpecBatch.concat([feasible, bad])
+        with _fresh_process_engine() as engine:
+            with pytest.raises(SpecificationError):
+                engine.evaluate_specs(ACIMEstimator(), batch)
+            results = engine.evaluate_specs(ACIMEstimator(), feasible)
+            assert len(results) == len(feasible)
+
+    def test_map_chunks_are_clamped(self):
+        engine = EvaluationEngine("process", workers=8, cache=EvaluationCache())
+        try:
+            assert engine._chunk(20) > 1
+            assert engine._chunk(20) <= 20
+        finally:
+            engine.close()
+
+    def test_close_shuts_down_the_map_pool(self):
+        engine = _fresh_process_engine()
+        assert engine.map(_square, list(range(8))) == [i * i for i in range(8)]
+        executor = engine._executor
+        assert executor is not None
+        engine.close()
+        assert engine._executor is None
+        with pytest.raises(RuntimeError):
+            executor.submit(_square, 1)
+
+
+class TestTimingSplits:
+    def test_serial_backend_reports_worker_seconds_only(self):
+        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+            stats = engine.stats.as_dict()
+        assert stats["worker_seconds"] > 0
+        assert stats["dispatch_seconds"] == 0.0
+        assert stats["serialize_seconds"] == 0.0
+
+    def test_splits_are_deltas_in_since(self):
+        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+            baseline = engine.stats.snapshot()
+            engine.cache.clear()
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+            delta = engine.stats.since(baseline)
+        assert 0 < delta.worker_seconds < engine.stats.worker_seconds
+
+    def test_engine_stats_table_shows_splits(self):
+        from repro.flow.report import engine_stats_table
+
+        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
+            engine.evaluate_specs(
+                ACIMEstimator(), [ACIMDesignSpec(64, 16, 2, 4)]
+            )
+            (row,) = engine_stats_table(engine.stats.as_dict())
+        assert {"dispatch_s", "worker_s", "serialize_s"} <= set(row)
+
+
+def _fresh_process_engine(workers: int = 2) -> EvaluationEngine:
+    """A process engine with a private cache (no shared-cache hits)."""
+    return EvaluationEngine("process", workers=workers, cache=EvaluationCache())
 
 
 def _square(value: int) -> int:

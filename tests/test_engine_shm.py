@@ -1,332 +1,80 @@
-"""Tests of the persistent shared-memory worker pool and its edge cases.
+"""Worker-crash tests of the ``process`` backend's ``map`` pool.
 
-Covers the ISSUE 6 satellite list: shared-memory edge cases (empty batch,
-single-spec batch, batch larger than the arena), worker crash mid-chunk
-(typed error with the failed shard ranges, no hang), orphan prevention
-when the parent dies hard, the break-even chunk clamp and the timing
-splits in :class:`~repro.engine.EngineStats`.
+A worker that dies mid-call (``kill -9``, segfault, OOM kill) must fail
+the call with a typed :class:`~repro.errors.WorkerCrashError` naming the
+items whose results never arrived, never hang, and leave the engine able
+to serve the next call on a fresh pool.
 """
 
 import os
 import signal
-import subprocess
-import sys
-import time
 
-import numpy as np
 import pytest
 
-from repro.arch.batch import SpecBatch
-from repro.arch.spec import ACIMDesignSpec
 from repro.engine import EvaluationCache, EvaluationEngine
-from repro.engine.engine import DISPATCH_OVERHEAD_SECONDS
-from repro.engine.shm import SharedArena
-from repro.engine.workers import PersistentWorkerPool
-from repro.errors import EngineError, SpecificationError, WorkerCrashError
-from repro.model.estimator import ACIMEstimator, METRIC_FIELDS
+from repro.errors import EngineError, WorkerCrashError
 
 
-def _fresh_process_engine(workers: int = 2) -> EvaluationEngine:
+def _fresh_process_engine(workers: int = 1) -> EvaluationEngine:
     """A process engine with a private cache (no shared-cache hits)."""
     return EvaluationEngine("process", workers=workers, cache=EvaluationCache())
 
 
-def _force_pool_path(engine: EvaluationEngine) -> None:
-    """Make every batch clear the break-even inline-serial shortcut."""
-    engine._cost_per_eval = 1.0  # 1 s/eval => break-even size 1
-
-
-class TestSharedArena:
-    def test_publish_collect_roundtrip(self):
-        batch = SpecBatch.enumerate(1024)
-        with SharedArena(initial_rows=8) as arena:
-            ref = arena.publish(batch)
-            assert ref.rows == len(batch)
-            assert ref.capacity >= len(batch)
-            # Write recognizable per-metric values through the raw view
-            # and read them back through collect().
-            for index in range(len(METRIC_FIELDS)):
-                arena._result_view[index, :ref.rows] = index + 0.5
-            columns = arena.collect(ref.rows)
-            for index, name in enumerate(METRIC_FIELDS):
-                assert columns[name].shape == (ref.rows,)
-                assert np.all(columns[name] == index + 0.5)
-
-    def test_grows_geometrically_with_fresh_segment_names(self):
-        with SharedArena(initial_rows=4) as arena:
-            small = arena.publish(SpecBatch.from_spec(ACIMDesignSpec(64, 16, 2, 4)))
-            assert arena.capacity == 4
-            big_batch = SpecBatch.enumerate(4096)
-            assert len(big_batch) > arena.capacity
-            big = arena.publish(big_batch)
-            assert arena.capacity >= len(big_batch)
-            # A grown arena lives in *new* segments; workers detect the
-            # name change and re-attach.
-            assert big.spec_name != small.spec_name
-            published = np.stack(
-                [arena._spec_view[i, :big.rows] for i in range(4)]
-            )
-            expected = np.stack(big_batch.columns())
-            assert np.array_equal(published, expected)
-
-    def test_empty_batch_publishes(self):
-        empty = SpecBatch(height=[], width=[], local_array_size=[], adc_bits=[])
-        with SharedArena(initial_rows=4) as arena:
-            ref = arena.publish(empty)
-            assert ref.rows == 0
-            assert arena.collect(0)[METRIC_FIELDS[0]].shape == (0,)
-
-    def test_close_is_idempotent(self):
-        arena = SharedArena()
-        arena.publish(SpecBatch.from_spec(ACIMDesignSpec(64, 16, 2, 4)))
-        arena.close()
-        arena.close()
-        assert arena.capacity == 0
-
-
-class TestProcessBackendEdgeCases:
-    def test_empty_spec_list(self):
-        with _fresh_process_engine() as engine:
-            assert engine.evaluate_specs(ACIMEstimator(), []) == []
-            # No work => no pool was ever spawned.
-            assert engine._pool is None
-
-    def test_single_spec_batch(self):
-        estimator = ACIMEstimator()
-        spec = ACIMDesignSpec(64, 16, 2, 4)
-        with _fresh_process_engine() as engine:
-            (got,) = engine.evaluate_specs(estimator, [spec])
-        expected = estimator.evaluate(spec)
-        for field in METRIC_FIELDS:
-            assert getattr(got, field) == pytest.approx(
-                getattr(expected, field), rel=1e-12, abs=0.0
-            )
-
-    def test_batch_larger_than_arena(self):
-        estimator = ACIMEstimator()
-        batch = SpecBatch.enumerate(4096)
-        with _fresh_process_engine() as engine:
-            _force_pool_path(engine)
-            engine._arena = SharedArena(initial_rows=4)
-            assert len(batch) > engine._arena._initial_rows
-            got = engine.evaluate_specs(estimator, batch)
-            assert engine._arena.capacity >= len(batch)
-        expected = estimator.evaluate_batch(batch)
-        assert [m.spec for m in got] == [m.spec for m in expected]
-        for g, e in zip(got, expected):
-            for field in METRIC_FIELDS:
-                assert getattr(g, field) == getattr(e, field)
-
-    def test_infeasible_spec_raises_in_parent_without_hanging(self):
-        # L > H in one row: the worker's batch validation must ship the
-        # SpecificationError back instead of wedging the submission.
-        feasible = SpecBatch.enumerate(1024)
-        bad = SpecBatch.from_spec(ACIMDesignSpec(4, 256, 8, 1))
-        batch = SpecBatch.concat([feasible, bad])
-        with _fresh_process_engine() as engine:
-            _force_pool_path(engine)
-            with pytest.raises(SpecificationError):
-                engine.evaluate_specs(ACIMEstimator(), batch)
-            # The pool survives an evaluation error (only crashes retire it)
-            # and serves the next submission.
-            engine.cache.clear()
-            results = engine.evaluate_specs(ACIMEstimator(), feasible)
-            assert len(results) == len(feasible)
-
-
 class TestWorkerCrash:
     def test_crash_mid_submission_raises_typed_error_with_ranges(self):
-        # Deterministic mid-chunk crash: drive the pool directly with its
-        # only worker already dead, so the submitted ranges can never
-        # complete.  The parent must raise (typed, with the unfinished
-        # shard ranges) instead of hanging on the result queue.
-        estimator = ACIMEstimator()
-        batch = SpecBatch.enumerate(2048)
-        with _fresh_process_engine(workers=1) as engine:
-            _force_pool_path(engine)
-            engine.evaluate_specs(estimator, SpecBatch.enumerate(1024))
-            pool = engine._pool
-            (pid,) = pool.worker_pids
-            os.kill(pid, signal.SIGKILL)
-            ref = engine._ensure_arena().publish(batch)
-            half = len(batch) // 2
-            ranges = [(0, half), (half, len(batch))]
+        # One worker, one item per task: items 0 and 1 complete, item 2
+        # SIGKILLs the worker, so item 2 onwards can never complete.  The
+        # parent must raise (typed, with the unfinished item range)
+        # instead of hanging.
+        items = list(range(6))
+        with _fresh_process_engine() as engine:
             with pytest.raises(WorkerCrashError) as excinfo:
-                pool.run(ranges, ref, estimator.parameters, "vectorized")
+                engine.map(_kill_own_worker_at_2, items, chunk_size=1)
             error = excinfo.value
             assert error.code == "worker-crash"
             assert isinstance(error, EngineError)
-            assert set(error.failed_ranges) <= set(ranges)
-            assert error.failed_ranges  # at least one unfinished shard
-            assert error.as_dict()["failed_ranges"] == [
-                list(r) for r in error.failed_ranges
-            ]
+            ((lo, hi),) = error.failed_ranges
+            assert 0 <= lo <= 2 and hi == len(items)
+            assert error.as_dict()["failed_ranges"] == [[lo, hi]]
+
+            # Every item kills its worker: nothing completes.
+            with pytest.raises(WorkerCrashError) as excinfo:
+                engine.map(_kill_own_worker, items, chunk_size=1)
+            assert excinfo.value.failed_ranges == [(0, len(items))]
 
     def test_engine_replaces_a_crashed_pool(self):
-        # A worker lost between submissions is healed transparently: the
-        # engine notices the unhealthy pool and rebuilds it.
-        estimator = ACIMEstimator()
-        with _fresh_process_engine(workers=1) as engine:
-            _force_pool_path(engine)
-            engine.evaluate_specs(estimator, SpecBatch.enumerate(1024))
-            (pid,) = engine._pool.worker_pids
-            os.kill(pid, signal.SIGKILL)
-            _wait_until(lambda: not _pid_running(pid))
-            _force_pool_path(engine)
-            results = engine.evaluate_specs(
-                estimator, SpecBatch.enumerate(4096)
-            )
-            assert len(results) == len(SpecBatch.enumerate(4096))
-            assert engine._pool.worker_pids != [pid]
-
-
-class TestWorkerLifecycle:
-    def test_workers_are_daemons_and_close_reaps_them(self):
-        pool = PersistentWorkerPool(2)
-        assert all(proc.daemon for proc in pool._procs)
-        pids = pool.worker_pids
-        assert all(_pid_running(pid) for pid in pids)
-        pool.close()
-        pool.close()  # idempotent
-        assert not any(_pid_running(pid) for pid in pids)
-
-    def test_engine_close_tears_down_pool_and_arena(self):
-        engine = _fresh_process_engine()
-        _force_pool_path(engine)
-        engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-        pids = engine._pool.worker_pids
-        engine.close()
-        assert engine._pool is None and engine._arena is None
-        assert not any(_pid_running(pid) for pid in pids)
-
-    def test_hard_killed_parent_leaves_no_orphans(self, tmp_path):
-        # A child interpreter builds a pool and dies with os._exit (so
-        # neither atexit nor the daemon teardown runs); its workers must
-        # notice the vanished parent and exit on their own.
-        script = (
-            "import os, sys\n"
-            "from repro.engine.workers import PersistentWorkerPool\n"
-            "pool = PersistentWorkerPool(2)\n"
-            "print(' '.join(str(p) for p in pool.worker_pids), flush=True)\n"
-            "os._exit(1)\n"
-        )
-        env = dict(os.environ)
-        root = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(root)
-        output = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        ).stdout
-        pids = [int(token) for token in output.split()]
-        assert len(pids) == 2
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if not any(_pid_running(pid) for pid in pids):
-                return
-            time.sleep(0.2)
-        pytest.fail(f"orphaned workers survived their parent: {pids}")
-
-
-class TestAutoChunker:
-    def test_break_even_clamp_replaces_degenerate_one_item_chunks(self):
-        engine = EvaluationEngine("process", workers=8, cache=EvaluationCache())
-        try:
-            # The pre-fix behavior: 20 // (8 * 4) == 0 -> 1-item chunks.
-            engine._cost_per_eval = 2e-5  # a measured analytic-path cost
-            floor = engine._break_even_size()
-            assert floor == -(-DISPATCH_OVERHEAD_SECONDS // 2e-5)
-            assert engine._plan_chunk(40) >= floor
-            # Sub-break-even tails merge into their predecessor.
-            ranges = engine._ranges(60, engine._plan_chunk(60))
-            assert all(hi - lo >= floor for lo, hi in ranges)
-            assert ranges[0][0] == 0 and ranges[-1][1] == 60
-        finally:
-            engine.close()
-
-    def test_expensive_evaluations_lower_the_floor(self):
-        engine = EvaluationEngine("process", workers=4, cache=EvaluationCache())
-        try:
-            engine._cost_per_eval = 0.01  # 10 ms/eval: every item ships
-            assert engine._break_even_size() == 1
-            assert engine._plan_chunk(100) <= 25  # all workers stay busy
-        finally:
-            engine.close()
-
-    def test_generic_map_chunks_are_clamped(self):
-        engine = EvaluationEngine("process", workers=8, cache=EvaluationCache())
-        try:
-            assert engine._chunk(20) > 1
-            assert engine._chunk(20) <= 20
-        finally:
-            engine.close()
-
-    def test_explicit_chunk_size_still_wins(self):
-        engine = EvaluationEngine(
-            "process", workers=4, chunk_size=7, cache=EvaluationCache()
-        )
-        try:
-            assert engine._chunk(1000) == 7
-            assert engine._plan_chunk(1000) == 7
-        finally:
-            engine.close()
-
-
-class TestTimingSplits:
-    def test_process_backend_reports_all_three_splits(self):
+        # The crash is not sticky: the broken pool is discarded and the
+        # next map on the same engine runs on fresh workers.
         with _fresh_process_engine() as engine:
-            _force_pool_path(engine)
-            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(4096))
-            stats = engine.stats.as_dict()
-        assert stats["worker_seconds"] > 0
-        assert stats["serialize_seconds"] > 0
-        assert stats["dispatch_seconds"] >= 0
-
-    def test_serial_backend_reports_worker_seconds_only(self):
-        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
-            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-            stats = engine.stats.as_dict()
-        assert stats["worker_seconds"] > 0
-        assert stats["dispatch_seconds"] == 0.0
-        assert stats["serialize_seconds"] == 0.0
-
-    def test_splits_are_deltas_in_since(self):
-        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
-            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-            baseline = engine.stats.snapshot()
-            engine.cache.clear()
-            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-            delta = engine.stats.since(baseline)
-        assert 0 < delta.worker_seconds < engine.stats.worker_seconds
-
-    def test_engine_stats_table_shows_splits(self):
-        from repro.flow.report import engine_stats_table
-
-        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
-            engine.evaluate_specs(
-                ACIMEstimator(), [ACIMDesignSpec(64, 16, 2, 4)]
-            )
-            (row,) = engine_stats_table(engine.stats.as_dict())
-        assert {"dispatch_s", "worker_s", "serialize_s"} <= set(row)
+            old_pids = set(engine.map(_worker_pid, list(range(4))))
+            old_executor = engine._executor
+            with pytest.raises(WorkerCrashError):
+                engine.map(_kill_own_worker, list(range(4)), chunk_size=1)
+            assert engine._executor is None
+            assert engine.map(_square, list(range(20))) == [
+                i * i for i in range(20)
+            ]
+            assert engine._executor is not old_executor
+            new_pids = set(engine.map(_worker_pid, list(range(4))))
+            assert not new_pids & old_pids
 
 
-def _wait_until(predicate, timeout: float = 10.0) -> None:
-    """Poll ``predicate`` until true or ``timeout`` seconds pass."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.02)
-    raise AssertionError("condition not reached within timeout")
+def _square(value: int) -> int:
+    return value * value
 
 
-def _pid_running(pid: int) -> bool:
-    """True while ``pid`` is a live (non-zombie) process."""
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, PermissionError):
-        return False
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().split(")")[-1].split()[0] != "Z"
-    except OSError:
-        return False
+def _worker_pid(_value: int) -> int:
+    return os.getpid()
+
+
+def _kill_own_worker(value: int) -> int:
+    """A map task that SIGKILLs the pool worker running it."""
+    os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
+def _kill_own_worker_at_2(value: int) -> int:
+    """A map task that SIGKILLs its worker on item 2 only."""
+    if value == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.api import ApiResult, EstimateRequest, QueryRequest, Session, SessionConfig
-from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.cli import main
 from repro.engine import EvaluationCache, EvaluationEngine
@@ -34,7 +33,6 @@ from repro.obs import (
     export_jsonl,
     get_tracer,
     span_to_trace_event,
-    worker_span_record,
 )
 from repro.reporting.observability import (
     campaign_trend_table,
@@ -205,15 +203,17 @@ class TestTracer:
 
     def test_adopt_reparents_worker_records(self):
         tracer = Tracer(enabled=True)
-        record = worker_span_record("engine.chunk", 10, 20, lo=0, hi=4)
-        with tracer.span("engine.dispatch") as dispatch:
-            parent_id = dispatch.span_id
+        # The plain dictionary an ``engine.map`` worker ships back.
+        record = {"name": "engine.map.item", "start_ns": 10, "end_ns": 20,
+                  "pid": 1, "tid": 1, "attrs": {"lo": 0, "hi": 4}}
+        with tracer.span("engine.map") as map_span:
+            parent_id = map_span.span_id
         adopted = tracer.adopt([record], parent_id=parent_id)
         assert adopted[0].parent_id == parent_id
         assert adopted[0].attrs == {"lo": 0, "hi": 4}
         assert adopted[0].start_ns == 10 and adopted[0].end_ns == 20
         names = [span.name for span in tracer.finished_spans()]
-        assert names == ["engine.dispatch", "engine.chunk"]
+        assert names == ["engine.map", "engine.map.item"]
 
     def test_configure_tracing_resets_the_global_tracer(self):
         tracer = configure_tracing(enabled=True)
@@ -377,32 +377,6 @@ class TestEngineTracing:
         chunk = spans["engine.chunk"]
         assert chunk.attrs["where"] == "inline"
         assert chunk.parent_id == spans["engine.evaluate_specs"].span_id
-
-    def test_process_backend_ships_worker_spans(self):
-        configure_tracing(enabled=True)
-        engine = EvaluationEngine(
-            "process", workers=2, cache=EvaluationCache(max_size=100_000),
-            chunk_size=64,
-        )
-        batch = SpecBatch.enumerate(16 * 1024)
-        try:
-            engine.evaluate_specs(ACIMEstimator(), batch)
-        finally:
-            engine.close()
-        spans = get_tracer().finished_spans()
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span.name, []).append(span)
-        assert "engine.dispatch" in by_name
-        chunks = by_name.get("engine.chunk", [])
-        worker_chunks = [s for s in chunks if s.attrs.get("where") == "worker"]
-        assert worker_chunks, "no worker-recorded chunk spans shipped back"
-        dispatch_ids = {s.span_id for s in by_name["engine.dispatch"]}
-        parent_pid = by_name["engine.dispatch"][0].pid
-        for span in worker_chunks:
-            assert span.parent_id in dispatch_ids
-            assert span.pid != parent_pid  # recorded inside the worker
-            assert span.start_ns <= span.end_ns
 
     def test_process_map_ships_item_spans(self):
         configure_tracing(enabled=True)

@@ -1,6 +1,8 @@
 """Unit tests for the reporting utilities (ASCII plots, exports) and the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,14 @@ class TestCli:
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == f"repro {__version__}"
 
+    def test_pyproject_version_matches_package(self):
+        # A regex, not tomllib: the package still supports Python 3.8.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(r'^version = "([^"]+)"$',
+                          pyproject.read_text(), re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == __version__
+
     def test_estimate_command(self, capsys):
         exit_code = main(["estimate", "--height", "128", "--width", "128",
                           "--local", "8", "--adc-bits", "3"])
@@ -136,12 +146,12 @@ class TestCli:
         exit_code = main([
             "explore", "--array-size", "1024", "--population", "20",
             "--generations", "6", "--seed", "3",
-            "--backend", "thread", "--workers", "2", "--engine-stats",
+            "--backend", "process", "--workers", "2", "--engine-stats",
         ])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Pareto solutions" in captured
-        assert "thread" in captured
+        assert "process" in captured
         assert "evals_per_s" in captured
 
     def test_layout_command(self, tmp_path, capsys):
