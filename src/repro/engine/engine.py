@@ -98,11 +98,6 @@ class EngineStats:
         serialize_seconds: batch serialization overhead.  Always 0 for
             the same reason; kept for the stored and served statistics
             format.
-        surrogate_exact: feasible candidates a surrogate screener
-            forwarded to the exact engine (0 when screening is off).
-        surrogate_screened: feasible candidates a surrogate screener
-            dropped before exact evaluation — the work the learned
-            pre-filter saved.
     """
 
     backend: str
@@ -117,8 +112,6 @@ class EngineStats:
     dispatch_seconds: float = 0.0
     worker_seconds: float = 0.0
     serialize_seconds: float = 0.0
-    surrogate_exact: int = 0
-    surrogate_screened: int = 0
 
     @property
     def evaluations_per_second(self) -> float:
@@ -153,10 +146,6 @@ class EngineStats:
             serialize_seconds=(
                 self.serialize_seconds - baseline.serialize_seconds
             ),
-            surrogate_exact=self.surrogate_exact - baseline.surrogate_exact,
-            surrogate_screened=(
-                self.surrogate_screened - baseline.surrogate_screened
-            ),
         )
 
     def as_dict(self) -> Dict[str, float]:
@@ -175,8 +164,6 @@ class EngineStats:
             "worker_seconds": round(self.worker_seconds, 6),
             "serialize_seconds": round(self.serialize_seconds, 6),
             "evaluations_per_second": round(self.evaluations_per_second, 1),
-            "surrogate_exact": self.surrogate_exact,
-            "surrogate_screened": self.surrogate_screened,
         }
 
 
@@ -229,10 +216,6 @@ class EvaluationEngine:
         self._m_store_writes = registry.counter("engine.store.write")
         self._m_busy = registry.counter("engine.busy.seconds")
         self._m_worker = registry.counter("engine.worker.seconds")
-        self._m_surrogate_exact = registry.counter("engine.surrogate.exact")
-        self._m_surrogate_screened = registry.counter(
-            "engine.surrogate.screened"
-        )
         self._m_batch_size = registry.histogram(
             "engine.eval.batch_size", SIZE_BUCKETS
         )
@@ -340,8 +323,6 @@ class EvaluationEngine:
             store_writes=int(self._m_store_writes.value),
             busy_seconds=float(self._m_busy.value),
             worker_seconds=float(self._m_worker.value),
-            surrogate_exact=int(self._m_surrogate_exact.value),
-            surrogate_screened=int(self._m_surrogate_screened.value),
         )
 
     # -- generic parallel map -------------------------------------------------

@@ -117,7 +117,7 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
             if busy > 0.0 and isinstance(evaluations, (int, float))
             else 0.0
         )
-    row = {
+    return [{
         "backend": stats.get("backend", "serial"),
         "workers": stats.get("workers", 1),
         "batches": stats.get("batches", 0),
@@ -131,13 +131,7 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
         "worker_s": _clamped_seconds(stats.get("worker_seconds", 0.0)),
         "serialize_s": _clamped_seconds(stats.get("serialize_seconds", 0.0)),
         "evals_per_s": evals_per_s,
-    }
-    # Surrogate-screening counters appear only when screening actually ran,
-    # so plain runs keep their historical column set byte-identical.
-    if stats.get("surrogate_exact") or stats.get("surrogate_screened"):
-        row["surrogate_exact"] = stats.get("surrogate_exact", 0)
-        row["surrogate_screened"] = stats.get("surrogate_screened", 0)
-    return [row]
+    }]
 
 
 def _clamped_seconds(value) -> float:

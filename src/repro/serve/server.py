@@ -176,6 +176,18 @@ def error_envelope(kind: str, error: BaseException) -> dict:
     ).to_dict()
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The listener: one daemon thread per connection, a deep backlog.
+
+    The stdlib default backlog of 5 overflows when a few clients poll at
+    once; the kernel then drops their SYNs and the client's 1 s SYN
+    retransmit becomes the latency tail.
+    """
+
+    request_queue_size = 128
+    daemon_threads = True
+
+
 class ReproServer:
     """Multi-tenant job server over one shared :class:`Session`.
 
@@ -235,10 +247,7 @@ class ReproServer:
         if self._httpd is not None:
             return self
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((self.config.host, self.config.port), handler)
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.1},

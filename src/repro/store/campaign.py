@@ -27,7 +27,6 @@ from repro.dse.explorer import pareto_designs_from_population
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
 from repro.dse.shard import ShardSpace, prewarm_store
-from repro.dse.surrogate import SurrogateScreener, refine_seed_genomes
 from repro.engine import (
     EvaluationEngine,
     parameters_cache_key,
@@ -58,6 +57,12 @@ _NSGA2_FIELDS = (
 #: the retired ``thread`` backend resumes bit-identically on ``serial``.
 _RETIRED_BACKENDS = {"thread": "serial"}
 
+#: Checkpoint key of the retired surrogate screening.  Campaigns recorded
+#: with it (config ``surrogate`` and its fraction, checkpoint
+#: ``screener``) resume as exact campaigns: those config keys are never
+#: read and this checkpoint key is dropped before restoring.
+_RETIRED_CHECKPOINT_KEY = "screener"
+
 #: Problem-shape fields persisted alongside the optimiser configuration.
 _PROBLEM_FIELDS = (
     "local_array_sizes",
@@ -85,8 +90,6 @@ class CampaignResult:
         resumed: True when this call continued from a checkpoint.
         shard_stats: sharded pre-warm summary (``shards``, ``points``,
             per-shard reports); empty for unsharded runs and resumes.
-        surrogate: surrogate-screening summary of this call (mode,
-            exact/screened candidate counts); empty when screening is off.
     """
 
     name: str
@@ -100,7 +103,6 @@ class CampaignResult:
     engine_stats: Dict[str, float] = field(default_factory=dict)
     resumed: bool = False
     shard_stats: Dict[str, object] = field(default_factory=dict)
-    surrogate: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """Flat summary row for report tables."""
@@ -170,8 +172,6 @@ class _CampaignManagerCore:
         max_height: Optional[int] = None,
         stop_after_generations: Optional[int] = None,
         shards: Optional[int] = None,
-        surrogate: str = "off",
-        screen_fraction: float = 0.25,
     ) -> CampaignResult:
         """Start a new named campaign.
 
@@ -186,13 +186,6 @@ class _CampaignManagerCore:
         cache hits.  Requires a file-backed store; results are
         bit-identical to the unsharded run (evaluation is pure and never
         consumes optimiser RNG).
-
-        ``surrogate`` selects the evaluation mode: ``"off"`` (exact
-        evaluation of every candidate, the historical behaviour, kept
-        bit-identical), ``"screen"`` (a learned surrogate pre-filters
-        offspring, sending only the most promising ``screen_fraction`` to
-        the exact engine) or ``"refine"`` (screening plus a population
-        warm-started from the store's cross-campaign Pareto set).
         """
         if self.store.get_campaign(name) is not None:
             raise StoreError(
@@ -200,13 +193,6 @@ class _CampaignManagerCore:
             )
         if shards is not None and shards < 1:
             raise StoreError("shards must be at least 1")
-        if surrogate not in ("off", "screen", "refine"):
-            raise StoreError(
-                f"unknown surrogate mode {surrogate!r}; "
-                "expected 'off', 'screen' or 'refine'"
-            )
-        if not 0.0 < screen_fraction <= 1.0:
-            raise StoreError("screen_fraction must be in (0, 1]")
         config = config or NSGA2Config()
         campaign_config = {
             **{key: getattr(config, key) for key in _NSGA2_FIELDS},
@@ -216,8 +202,6 @@ class _CampaignManagerCore:
             "max_height": max_height,
             "checkpoint_every": self.checkpoint_every,
             "shards": shards,
-            "surrogate": surrogate,
-            "screen_fraction": screen_fraction,
         }
         shard_stats: Dict = {}
         if shards is not None and shards > 1:
@@ -311,56 +295,20 @@ class _CampaignManagerCore:
                 max_height=campaign_config["max_height"],
                 engine=engine,
             )
-            surrogate_mode = str(campaign_config.get("surrogate") or "off")
-            screener = None
-            if surrogate_mode != "off":
-                from repro.engine.screen import ScreeningEvaluator
-
-                # A fresh run seeds the surrogate's training set from the
-                # store's accumulated evaluations; a resumed leg restores
-                # the exact training-row set the checkpoint captured so
-                # the screening decisions replay bit-identically.
-                screener = SurrogateScreener(
-                    ScreeningEvaluator(
-                        engine,
-                        self.estimator,
-                        screen_fraction=float(
-                            campaign_config.get("screen_fraction", 0.25)
-                        ),
-                        store=self.store,
-                        seed_from_store=checkpoint is None,
-                    )
-                )
-                problem.observer = screener.observe
-            optimizer = NSGA2(problem, config, screener=screener)
+            optimizer = NSGA2(problem, config)
             if checkpoint is not None:
                 state = dict(checkpoint[1])
-                screener_state = state.pop("screener", None)
+                state.pop(_RETIRED_CHECKPOINT_KEY, None)
                 optimizer.restore_state(state)
-                if screener is not None and screener_state:
-                    screener.restore_state(
-                        screener_state, engine, self.estimator
-                    )
             else:
-                seed_genomes = None
-                if surrogate_mode == "refine":
-                    seed_genomes = refine_seed_genomes(
-                        self.store,
-                        problem,
-                        params_digest=self.params_digest,
-                        limit=config.population_size,
-                    )
-                optimizer.initialize(seed_genomes=seed_genomes)
-                self.store.save_checkpoint(
-                    name, 0, _snapshot(optimizer, screener)
-                )
+                optimizer.initialize()
+                self.store.save_checkpoint(name, 0, optimizer.state())
             # The run-time cadence travels with the campaign so a resumed
             # leg keeps the commit cost profile the run was started with.
             checkpoint_every = int(
                 campaign_config.get("checkpoint_every", self.checkpoint_every)
             )
             steps_this_call = 0
-            generation_rows: List[Dict] = []
             generation_seconds = engine.metrics.histogram(
                 "campaign.generation.seconds"
             )
@@ -375,15 +323,6 @@ class _CampaignManagerCore:
                 generation_seconds.observe(time.perf_counter() - step_start)
                 generation_counter.inc()
                 steps_this_call += 1
-                if screener is not None:
-                    generation_rows.append({
-                        "generation": optimizer.generation,
-                        **screener.generation_snapshot([
-                            ind.objectives
-                            for ind in optimizer.result()
-                            if ind.feasible
-                        ]),
-                    })
                 stopping = (
                     stop_after is not None and steps_this_call >= stop_after
                 )
@@ -393,8 +332,7 @@ class _CampaignManagerCore:
                     or optimizer.generation % checkpoint_every == 0
                 ):
                     self.store.save_checkpoint(
-                        name, optimizer.generation,
-                        _snapshot(optimizer, screener),
+                        name, optimizer.generation, optimizer.state()
                     )
                 if stopping:
                     break
@@ -419,30 +357,10 @@ class _CampaignManagerCore:
                 add_runtime_seconds=runtime,
             )
             stats_delta = engine.stats.since(stats_baseline).as_dict()
-            run_row = _run_metrics_row(
-                status, steps_this_call, runtime, stats_delta
+            self.store.put_run_metrics(
+                name,
+                _run_metrics_row(status, steps_this_call, runtime, stats_delta),
             )
-            surrogate_summary: Dict[str, object] = {}
-            if screener is not None:
-                screener.persist()
-                surrogate_summary = {
-                    "mode": surrogate_mode,
-                    "exact_candidates": screener.exact_candidates,
-                    "screened_candidates": screener.screened_candidates,
-                    "training_rows": screener.evaluator.training_rows,
-                }
-                # Surrogate fields ride along in the same run_metrics row
-                # (attached only in surrogate modes so plain campaigns'
-                # rows stay byte-identical to earlier releases).
-                run_row["surrogate"] = surrogate_mode
-                run_row["exact_evals"] = screener.exact_candidates
-                run_row["screened_evals"] = screener.screened_candidates
-                run_row["front_recall"] = (
-                    generation_rows[-1]["front_recall"]
-                    if generation_rows else 0.0
-                )
-                run_row["generation_metrics"] = generation_rows
-            self.store.put_run_metrics(name, run_row)
             return CampaignResult(
                 name=name,
                 array_size=array_size,
@@ -455,7 +373,6 @@ class _CampaignManagerCore:
                 engine_stats=stats_delta,
                 resumed=resumed,
                 shard_stats=dict(shard_stats or {}),
-                surrogate=surrogate_summary,
             )
         finally:
             if owns_engine:
@@ -488,20 +405,6 @@ class _CampaignManagerCore:
             rank_by=rank_by,
             limit=limit,
         )
-
-
-def _snapshot(optimizer: NSGA2, screener: Optional[SurrogateScreener]) -> Dict:
-    """Checkpoint payload: optimiser state plus the screener's training set.
-
-    The screener key is popped back out before
-    :meth:`~repro.dse.nsga2.NSGA2.restore_state` sees the snapshot, so
-    plain campaigns' checkpoints are unchanged and old checkpoints restore
-    cleanly.
-    """
-    state = optimizer.state()
-    if screener is not None:
-        state["screener"] = screener.state()
-    return state
 
 
 def _pareto_entries(

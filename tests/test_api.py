@@ -134,8 +134,14 @@ class TestRequestValidation:
         assert excinfo.value.code == "request"
 
     def test_unknown_field_raises_request_error(self):
-        with pytest.raises(RequestError, match="unknown field"):
-            request_from_dict({"kind": "estimate", "heigth": 128})
+        for data in (
+            {"kind": "estimate", "heigth": 128},
+            # Surrogate screening was removed in 1.5.0; its field is now
+            # as unknown as a typo.
+            {"kind": "explore", "array_size": 1024, "surrogate": "off"},
+        ):
+            with pytest.raises(RequestError, match="unknown field"):
+                request_from_dict(data)
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(RequestError, match="does not match"):

@@ -135,6 +135,49 @@ class TestCampaignResume:
         assert result.engine_stats["backend"] == "serial"
         assert _pareto_signature(result.pareto_set) == reference_pareto
 
+    def test_campaign_stored_with_surrogate_screening_resumes_exact(
+        self, tmp_path, reference_pareto
+    ):
+        # Stores written while surrogate screening existed record its
+        # mode in the config and a ``screener`` key in every checkpoint;
+        # resuming one runs the exact path and lands on the
+        # uninterrupted plain front.
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path) as store:
+            _CampaignManagerCore(store).run(
+                "screened", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
+            )
+        with sqlite3.connect(path) as conn:
+            (config_json,) = conn.execute(
+                "SELECT config_json FROM campaigns WHERE name = 'screened'"
+            ).fetchone()
+            config = json.loads(config_json)
+            config["surrogate"] = "screen"
+            conn.execute(
+                "UPDATE campaigns SET config_json = ? WHERE name = 'screened'",
+                (json.dumps(config, sort_keys=True),),
+            )
+            generation, state_json = conn.execute(
+                "SELECT generation, state_json FROM checkpoints "
+                "WHERE campaign = 'screened' ORDER BY generation DESC LIMIT 1"
+            ).fetchone()
+            state = json.loads(state_json)
+            state["screener"] = {"rows": [[[64, 16, 8, 3], [1.0] * 8]]}
+            conn.execute(
+                "UPDATE checkpoints SET state_json = ? "
+                "WHERE campaign = 'screened' AND generation = ?",
+                (json.dumps(state), generation),
+            )
+        conn.close()
+        with ResultStore(path) as store:
+            assert store.get_campaign("screened").config["surrogate"] == (
+                "screen"
+            )
+            assert "screener" in store.latest_checkpoint("screened")[1]
+            result = _CampaignManagerCore(store).resume("screened")
+        assert result.status == "completed"
+        assert _pareto_signature(result.pareto_set) == reference_pareto
+
     def test_kill_mid_generation_resumes_identically(
         self, store, reference_pareto, monkeypatch
     ):

@@ -325,8 +325,6 @@ class TestEngineStatsByteIdentity:
             "worker_seconds": 0.0,
             "serialize_seconds": 0.0,
             "evaluations_per_second": 0.0,
-            "surrogate_exact": 0,
-            "surrogate_screened": 0,
         }
         assert stats == expected
         assert list(stats) == list(expected)

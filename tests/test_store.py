@@ -2,12 +2,14 @@
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.distill import DistillationCriteria
 from repro.engine import (
@@ -20,6 +22,7 @@ from repro.errors import StoreError
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.reporting.export import export_json, load_json
 from repro.store import (
+    RANK_METRICS,
     ResultStore,
     SCHEMA_VERSION,
     canonical_key,
@@ -240,6 +243,56 @@ class TestQuery:
     def test_unknown_rank_metric_rejected(self, store):
         with pytest.raises(StoreError, match="rank metric"):
             store.query(rank_by="speed")
+
+    def test_rank_query_plan_uses_index_no_temp_btree(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        ResultStore(path).close()
+        conn = sqlite3.connect(path)
+        for metric, descending in RANK_METRICS.items():
+            direction = "DESC" if descending else "ASC"
+            order = ", ".join(
+                f"{column} {direction}"
+                for column in (metric, "height", "width", "local", "adc_bits")
+            )
+            plan = " ".join(
+                row[3] for row in conn.execute(
+                    f"EXPLAIN QUERY PLAN SELECT * FROM evaluations "
+                    f"ORDER BY {order}"
+                )
+            )
+            assert f"idx_eval_rank_{metric}" in plan, metric
+            assert "TEMP B-TREE" not in plan, metric
+        conn.close()
+
+    def test_fast_path_matches_python_path(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            engine = EvaluationEngine("serial", store=store)
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(4096))
+            engine.flush_store()
+            for rank_by in ("tops_per_watt", "snr_db", "area_f2_per_bit"):
+                fast, fast_total = store.query_page(
+                    rank_by=rank_by, pareto_only=False
+                )
+                # Reference: the Python sort key on the same rows.
+                expected = sorted(
+                    fast,
+                    key=lambda e: (
+                        getattr(e.metrics, rank_by), e.spec.as_tuple()
+                    ),
+                    reverse=RANK_METRICS[rank_by],
+                )
+                assert [e.spec.as_tuple() for e in fast] == (
+                    [e.spec.as_tuple() for e in expected]
+                )
+                # Pagination slices the same total ordering.
+                page, total = store.query_page(
+                    rank_by=rank_by, pareto_only=False, limit=5, offset=3
+                )
+                assert total == fast_total
+                assert [e.spec.as_tuple() for e in page] == (
+                    [e.spec.as_tuple() for e in fast[3:8]]
+                )
+            engine.close()
 
 
 class TestAtomicJsonExport:
