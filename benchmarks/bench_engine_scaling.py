@@ -152,9 +152,6 @@ def pareto_determinism(workers: int, seed: int = 11) -> dict:
             raise AssertionError(
                 f"{backend} backend produced a different Pareto set"
             )
-    # A sharded campaign must land on the same front as its unsharded
-    # twin: pre-warming the store cannot perturb the optimiser.
-    sharded_identical = _sharded_front_matches(workers, seed)
     # Cross-check against the exhaustively computed true frontier.
     designs = evaluate_all(ARRAY_SIZE)
     true_front = {
@@ -165,38 +162,9 @@ def pareto_determinism(workers: int, seed: int = 11) -> dict:
     return {
         "seed": seed,
         "backends_identical": True,
-        "sharded_identical": sharded_identical,
         "front_size": len(reference),
         "true_front_recall": round(len(found & true_front) / len(true_front), 3),
     }
-
-
-def _sharded_front_matches(workers: int, seed: int) -> bool:
-    """Sharded vs unsharded campaign fronts at a fixed seed (must match)."""
-    import tempfile
-
-    from repro.engine import reset_shared_cache
-    from repro.store import ResultStore
-    from repro.store.campaign import _CampaignManagerCore
-
-    config = NSGA2Config(population_size=32, generations=10, seed=seed)
-    fronts = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, shards in (("plain", None), ("sharded", 2)):
-            reset_shared_cache()
-            with ResultStore(Path(tmp) / f"{label}.sqlite") as store:
-                result = _CampaignManagerCore(store).run(
-                    label, ARRAY_SIZE, config=config, shards=shards
-                )
-            fronts.append(sorted(
-                (design.spec.as_tuple(), design.objectives)
-                for design in result.pareto_set
-            ))
-    if fronts[0] != fronts[1]:
-        raise AssertionError(
-            "sharded campaign produced a different Pareto set"
-        )
-    return True
 
 
 def main(argv=None) -> int:
@@ -264,7 +232,7 @@ def main(argv=None) -> int:
         f"gate skipped: {cores} CPU core(s), no parallel hardware")
     print(f"OK: process speedup {speedup:.2f}x high-fidelity "
           f"({gate_note}), Pareto sets bit-identical across "
-          f"{', '.join(BACKENDS)} + sharded")
+          f"{', '.join(BACKENDS)}")
 
     if not args.quick:
         args.json.write_text(json.dumps(record, indent=2) + "\n")

@@ -155,10 +155,15 @@ def request_from_dict(data: dict) -> ApiRequest:
 # ---------------------------------------------------------------------------
 
 
-def _require_int(name: str, value, minimum: int) -> None:
+def _require_int(name: str, value, minimum: Optional[int] = None) -> None:
+    """Reject a non-integer (RequestError), then one below ``minimum``.
+
+    ``minimum=None`` checks the type only, leaving the range check to the
+    layer that owns it (and its own error class).
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise RequestError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise RequestError(f"{name} must be at least {minimum}, got {value}")
 
 
@@ -188,6 +193,8 @@ def _validate_nsga2(request) -> None:
     """
     _require_int("array_size", request.array_size, 16)
     _require_optional_int("workers", getattr(request, "workers", None), 1)
+    for name in ("population", "generations", "seed"):
+        _require_int(name, getattr(request, name))
     NSGA2Config(
         population_size=request.population,
         generations=request.generations,
@@ -323,10 +330,6 @@ class CampaignRequest(ApiRequest):
         checkpoint_every: commit a snapshot every N generations.
         stop_after: stop (checkpointed, resumable) after N generations in
             this call — the programmatic equivalent of killing the process.
-        shards: pre-warm the store by evaluating the feasible design grid
-            across N worker processes before optimising (``run`` only;
-            needs a file-backed store).  Results are bit-identical to the
-            unsharded run.
     """
 
     kind: ClassVar[str] = "campaign"
@@ -339,7 +342,6 @@ class CampaignRequest(ApiRequest):
     seed: int = 1
     checkpoint_every: int = 1
     stop_after: Optional[int] = None
-    shards: Optional[int] = None
 
     ACTIONS: ClassVar[Tuple[str, ...]] = ("run", "resume")
 
@@ -352,15 +354,10 @@ class CampaignRequest(ApiRequest):
                 f"expected one of {sorted(self.ACTIONS)}"
             )
         _validate_nsga2(self)
+        _require_int("checkpoint_every", self.checkpoint_every)
         if self.checkpoint_every < 1:
             raise StoreError("checkpoint_every must be at least 1")
         _require_optional_int("stop_after", self.stop_after, 1)
-        _require_optional_int("shards", self.shards, 1)
-        if self.shards is not None and self.action != "run":
-            raise RequestError(
-                "shards only applies to 'run' (a resumed campaign's grid "
-                "rows are already in the store)"
-            )
         return self
 
 
@@ -460,6 +457,10 @@ class QueryRequest(ApiRequest):
             raise RequestError(
                 f"unknown query target {self.what!r}; "
                 f"expected one of {sorted(self.TARGETS)}"
+            )
+        if not isinstance(self.rank_by, str):
+            raise RequestError(
+                f"rank_by must be a string, got {self.rank_by!r}"
             )
         if self.rank_by not in RANK_METRICS:
             raise StoreError(

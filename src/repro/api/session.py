@@ -520,7 +520,6 @@ class Session:
                     workers=self.config.workers,
                 ),
                 stop_after_generations=request.stop_after,
-                shards=request.shards,
             )
         payload = {
             "name": outcome.name,
@@ -530,7 +529,6 @@ class Session:
             "total_generations": outcome.total_generations,
             "evaluations": outcome.evaluations,
             "resumed": outcome.resumed,
-            "shards": outcome.shard_stats.get("shards", 0),
             "pareto": [d.metrics.as_dict() for d in outcome.pareto_set],
         }
         return self._finish(

@@ -247,11 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--seed", type=int, default=1)
     campaign_run.add_argument("--checkpoint-every", type=int, default=1,
                               help="commit a snapshot every N generations")
-    campaign_run.add_argument("--shards", type=int, default=None,
-                              help="pre-warm the store by evaluating the "
-                                   "feasible design grid across N worker "
-                                   "processes before optimising "
-                                   "(file-backed store required)")
     campaign_run.add_argument("--stop-after", type=int, default=None,
                               help="stop (checkpointed, resumable) after N "
                                    "generations in this invocation")
@@ -554,10 +549,6 @@ def _cmd_library(args: argparse.Namespace) -> int:
 def _print_campaign_outcome(result: ApiResult, engine_stats: bool) -> None:
     outcome = result.artifacts["result"]
     print(format_table([outcome.as_dict()]))
-    if outcome.shard_stats:
-        print(f"Pre-warmed {outcome.shard_stats['points']} grid points "
-              f"across {outcome.shard_stats['shards']} shard processes "
-              f"({outcome.shard_stats['store_writes']} new store rows).")
     if outcome.status == "interrupted":
         print(f"Campaign {outcome.name!r} checkpointed at generation "
               f"{outcome.generations_done}/{outcome.total_generations}; "
@@ -579,7 +570,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
         stop_after=args.stop_after,
-        shards=args.shards,
     )
     with _session_from_args(args, default_store=DEFAULT_CAMPAIGN_STORE) as session:
         result = session.submit(request)

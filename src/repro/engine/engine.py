@@ -281,19 +281,6 @@ class EvaluationEngine:
                 time.perf_counter() - started
             )
 
-    def rehydrate(self) -> int:
-        """Re-hydrate the cache from the store; returns rows now warm.
-
-        Campaign sharding uses this: after shard workers commit their
-        grid slices through their own store connections, the parent
-        engine picks the fresh rows up without being rebuilt.
-        """
-        if self.store is None:
-            return 0
-        keys = self.store.hydrate(self.cache)
-        self._store_keys.update(keys)
-        return len(keys)
-
     def __enter__(self) -> "EvaluationEngine":
         return self
 

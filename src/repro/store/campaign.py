@@ -26,7 +26,6 @@ from repro.dse.distill import DistillationCriteria
 from repro.dse.explorer import pareto_designs_from_population
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.dse.shard import ShardSpace, prewarm_store
 from repro.engine import (
     EvaluationEngine,
     parameters_cache_key,
@@ -88,8 +87,6 @@ class CampaignResult:
         engine_stats: evaluation-engine statistics of this call, including
             ``store_hits`` (hits served from the persistent store).
         resumed: True when this call continued from a checkpoint.
-        shard_stats: sharded pre-warm summary (``shards``, ``points``,
-            per-shard reports); empty for unsharded runs and resumes.
     """
 
     name: str
@@ -102,7 +99,6 @@ class CampaignResult:
     runtime_seconds: float = 0.0
     engine_stats: Dict[str, float] = field(default_factory=dict)
     resumed: bool = False
-    shard_stats: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """Flat summary row for report tables."""
@@ -171,28 +167,17 @@ class _CampaignManagerCore:
         min_height: int = 2,
         max_height: Optional[int] = None,
         stop_after_generations: Optional[int] = None,
-        shards: Optional[int] = None,
     ) -> CampaignResult:
         """Start a new named campaign.
 
         ``stop_after_generations`` stops (with a committed checkpoint, so
         ``resume`` continues seamlessly) after that many generations in
         this call — the programmatic equivalent of killing the process.
-
-        ``shards=N`` (N >= 2) pre-warms the store first: N worker
-        processes split the feasible design grid into contiguous shards
-        and commit their evaluations through the concurrent-writer-safe
-        store, after which the optimisation loop runs entirely on warm
-        cache hits.  Requires a file-backed store; results are
-        bit-identical to the unsharded run (evaluation is pure and never
-        consumes optimiser RNG).
         """
         if self.store.get_campaign(name) is not None:
             raise StoreError(
                 f"campaign {name!r} already exists; use resume() to continue"
             )
-        if shards is not None and shards < 1:
-            raise StoreError("shards must be at least 1")
         config = config or NSGA2Config()
         campaign_config = {
             **{key: getattr(config, key) for key in _NSGA2_FIELDS},
@@ -201,22 +186,7 @@ class _CampaignManagerCore:
             "min_height": min_height,
             "max_height": max_height,
             "checkpoint_every": self.checkpoint_every,
-            "shards": shards,
         }
-        shard_stats: Dict = {}
-        if shards is not None and shards > 1:
-            shard_stats = prewarm_store(
-                self.store,
-                ShardSpace(
-                    array_size=array_size,
-                    local_array_sizes=tuple(sorted(set(local_array_sizes))),
-                    max_adc_bits=max_adc_bits,
-                    min_height=min_height,
-                    max_height=max_height,
-                ),
-                self.estimator,
-                shards,
-            )
         self.store.create_campaign(
             name,
             array_size,
@@ -227,7 +197,6 @@ class _CampaignManagerCore:
         return self._drive(
             name, array_size, campaign_config,
             checkpoint=None, stop_after=stop_after_generations, resumed=False,
-            shard_stats=shard_stats,
         )
 
     def resume(
@@ -268,7 +237,6 @@ class _CampaignManagerCore:
         checkpoint: Optional[Tuple[int, Dict]],
         stop_after: Optional[int],
         resumed: bool,
-        shard_stats: Optional[Dict] = None,
     ) -> CampaignResult:
         fields = {key: campaign_config[key] for key in _NSGA2_FIELDS}
         fields["backend"] = _RETIRED_BACKENDS.get(
@@ -280,10 +248,6 @@ class _CampaignManagerCore:
         engine = self.engine or EvaluationEngine(
             config.backend, workers=config.workers, store=self.store
         )
-        if shard_stats and not owns_engine:
-            # A borrowed (session) engine hydrated before the shard
-            # workers committed; pick their fresh rows up.
-            engine.rehydrate()
         stats_baseline = engine.stats.snapshot()
         try:
             problem = ACIMDesignProblem(
@@ -372,7 +336,6 @@ class _CampaignManagerCore:
                 runtime_seconds=runtime,
                 engine_stats=stats_delta,
                 resumed=resumed,
-                shard_stats=dict(shard_stats or {}),
             )
         finally:
             if owns_engine:

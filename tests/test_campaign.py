@@ -28,6 +28,28 @@ def _pareto_signature(designs):
     return [(design.spec.as_tuple(), design.objectives) for design in designs]
 
 
+def _stopped_campaign_with_config(tmp_path, name, config_changes):
+    """Store path of a campaign stopped after two generations, whose
+    stored config was then rewritten with ``config_changes`` (as an
+    older release would have recorded it)."""
+    path = tmp_path / "store.sqlite"
+    with ResultStore(path) as store:
+        _CampaignManagerCore(store).run(
+            name, ARRAY_SIZE, config=CONFIG, stop_after_generations=2
+        )
+    with sqlite3.connect(path) as conn:
+        (config_json,) = conn.execute(
+            "SELECT config_json FROM campaigns WHERE name = ?", (name,)
+        ).fetchone()
+        config = {**json.loads(config_json), **config_changes}
+        conn.execute(
+            "UPDATE campaigns SET config_json = ? WHERE name = ?",
+            (json.dumps(config, sort_keys=True), name),
+        )
+    conn.close()
+    return path
+
+
 @pytest.fixture
 def store(tmp_path):
     with ResultStore(tmp_path / "store.sqlite") as store:
@@ -112,22 +134,9 @@ class TestCampaignResume:
         # Stores written before the thread backend was retired record
         # backend "thread"; resuming one runs serial and lands on the
         # uninterrupted serial front.
-        path = tmp_path / "store.sqlite"
-        with ResultStore(path) as store:
-            _CampaignManagerCore(store).run(
-                "legacy", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
-            )
-        with sqlite3.connect(path) as conn:
-            (config_json,) = conn.execute(
-                "SELECT config_json FROM campaigns WHERE name = 'legacy'"
-            ).fetchone()
-            config = json.loads(config_json)
-            config["backend"] = "thread"
-            conn.execute(
-                "UPDATE campaigns SET config_json = ? WHERE name = 'legacy'",
-                (json.dumps(config, sort_keys=True),),
-            )
-        conn.close()
+        path = _stopped_campaign_with_config(
+            tmp_path, "legacy", {"backend": "thread"}
+        )
         with ResultStore(path) as store:
             assert store.get_campaign("legacy").config["backend"] == "thread"
             result = _CampaignManagerCore(store).resume("legacy")
@@ -142,21 +151,10 @@ class TestCampaignResume:
         # mode in the config and a ``screener`` key in every checkpoint;
         # resuming one runs the exact path and lands on the
         # uninterrupted plain front.
-        path = tmp_path / "store.sqlite"
-        with ResultStore(path) as store:
-            _CampaignManagerCore(store).run(
-                "screened", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
-            )
+        path = _stopped_campaign_with_config(
+            tmp_path, "screened", {"surrogate": "screen"}
+        )
         with sqlite3.connect(path) as conn:
-            (config_json,) = conn.execute(
-                "SELECT config_json FROM campaigns WHERE name = 'screened'"
-            ).fetchone()
-            config = json.loads(config_json)
-            config["surrogate"] = "screen"
-            conn.execute(
-                "UPDATE campaigns SET config_json = ? WHERE name = 'screened'",
-                (json.dumps(config, sort_keys=True),),
-            )
             generation, state_json = conn.execute(
                 "SELECT generation, state_json FROM checkpoints "
                 "WHERE campaign = 'screened' ORDER BY generation DESC LIMIT 1"
@@ -175,6 +173,21 @@ class TestCampaignResume:
             )
             assert "screener" in store.latest_checkpoint("screened")[1]
             result = _CampaignManagerCore(store).resume("screened")
+        assert result.status == "completed"
+        assert _pareto_signature(result.pareto_set) == reference_pareto
+
+    def test_campaign_stored_with_shards_resumes(
+        self, tmp_path, reference_pareto
+    ):
+        # Stores written while the sharded store pre-warm existed record
+        # a ``shards`` count in the config; it is never read, so the
+        # campaign resumes as a plain one onto the uninterrupted front.
+        path = _stopped_campaign_with_config(
+            tmp_path, "sharded", {"shards": 2}
+        )
+        with ResultStore(path) as store:
+            assert store.get_campaign("sharded").config["shards"] == 2
+            result = _CampaignManagerCore(store).resume("sharded")
         assert result.status == "completed"
         assert _pareto_signature(result.pareto_set) == reference_pareto
 
@@ -279,75 +292,6 @@ class TestCampaignResume:
         assert all(e.metrics.snr_db >= 0.0 for e in entries)
         values = [e.metrics.snr_db for e in entries]
         assert values == sorted(values, reverse=True)
-
-
-class TestShardedCampaign:
-    def test_sharded_front_is_bit_identical(self, store, reference_pareto):
-        # Pre-warming cannot change results: evaluation is pure and never
-        # consumes optimiser RNG, so the sharded front matches the
-        # uninterrupted serial run bit-for-bit.
-        reset_shared_cache()
-        result = _CampaignManagerCore(store).run(
-            "sharded", ARRAY_SIZE, config=CONFIG, shards=2
-        )
-        assert result.status == "completed"
-        assert _pareto_signature(result.pareto_set) == reference_pareto
-        assert result.shard_stats["shards"] == 2
-        # The shards committed exactly the feasible grid, and the
-        # optimisation leg then ran on warm store hits.
-        grid = ACIMDesignProblem(ARRAY_SIZE).feasible_batch()
-        assert result.shard_stats["points"] == len(grid)
-        assert len(store) == len(grid)
-        assert result.engine_stats["store_hits"] > 0
-
-    def test_sharded_store_rows_match_serial_full_grid(self, tmp_path):
-        # The row-count equivalence behind `make shard-smoke`: a sharded
-        # campaign leaves behind the same store rows as serially
-        # evaluating the full feasible grid.
-        reset_shared_cache()
-        serial_path = tmp_path / "serial.sqlite"
-        with ResultStore(serial_path) as serial_store:
-            problem = ACIMDesignProblem(ARRAY_SIZE)
-            from repro.engine import EvaluationCache, EvaluationEngine
-
-            with EvaluationEngine(
-                "serial", cache=EvaluationCache(), store=serial_store
-            ) as engine:
-                engine.evaluate_specs(
-                    ACIMEstimator(), problem.feasible_batch()
-                )
-            serial_rows = len(serial_store)
-        reset_shared_cache()
-        with ResultStore(tmp_path / "sharded.sqlite") as sharded_store:
-            _CampaignManagerCore(sharded_store).run(
-                "smoke", ARRAY_SIZE, config=CONFIG, shards=2
-            )
-            assert len(sharded_store) == serial_rows
-
-    def test_sharded_needs_file_backed_store(self):
-        with ResultStore(":memory:") as store:
-            with pytest.raises(StoreError, match="file-backed"):
-                _CampaignManagerCore(store).run(
-                    "mem", ARRAY_SIZE, config=CONFIG, shards=2
-                )
-            # The rejection happens before the campaign row is created.
-            assert store.get_campaign("mem") is None
-
-    def test_invalid_shard_count_rejected(self, store):
-        with pytest.raises(StoreError, match="at least 1"):
-            _CampaignManagerCore(store).run(
-                "bad", ARRAY_SIZE, config=CONFIG, shards=0
-            )
-
-    def test_plan_shards_never_empty(self):
-        from repro.dse.shard import plan_shards
-
-        assert plan_shards(0, 4) == []
-        assert plan_shards(2, 8) == [(0, 1), (1, 2)]
-        ranges = plan_shards(220, 3)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 220
-        assert all(lo < hi for lo, hi in ranges)
-        assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
 
 
 class TestFlowRecording:

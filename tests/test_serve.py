@@ -284,6 +284,14 @@ class TestServerEndpoints:
             client.submit({"kind": "warp-drive"})
         assert info.value.status == 400
         assert info.value.error["field"] == "kind"
+        # A wrong-typed number is a typed request error too, never a
+        # dropped connection.
+        with pytest.raises(ServeHTTPError) as info:
+            client.submit(
+                {"kind": "explore", "array_size": 1024, "population": "8"}
+            )
+        assert info.value.status == 400
+        assert info.value.error["code"] == "request"
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeHTTPError) as info:
